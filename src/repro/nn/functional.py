@@ -8,6 +8,8 @@ gradients come straight from the engine.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -16,7 +18,7 @@ from .tensor import Tensor, as_tensor
 __all__ = [
     "im2col", "col2im", "conv2d", "conv2d_masked", "conv2d_depthwise",
     "conv2d_depthwise_masked", "depthwise_windows", "linear", "max_pool2d",
-    "avg_pool2d",
+    "max_pool2d_kernel", "avg_pool2d",
     "global_avg_pool2d", "upsample_nearest", "batch_norm2d",
     "batch_norm2d_masked", "dropout",
     "log_softmax",
@@ -31,16 +33,56 @@ def _out_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, pad: int) -> np.ndarray:
-    """Unfold ``x`` of shape (N, C, H, W) into (N*oh*ow, C*kh*kw) patches."""
+@functools.lru_cache(maxsize=128)
+def _gather_index(c: int, h: int, w: int, kh: int, kw: int, stride: int,
+                  pad: int) -> np.ndarray:
+    """Per-image source offsets of every patch element, im2col order.
+
+    Ordered ``(oh, ow, C, kh, kw)`` like the patch matrix; offsets index
+    one image flattened to ``C*H*W`` values, and positions in the zero
+    padding point one past the end, at the zero :func:`im2col` appends.
+    """
+    oh = _out_size(h, kh, stride, pad)
+    ow = _out_size(w, kw, stride, pad)
+    rows = (np.arange(oh) * stride - pad).reshape(oh, 1, 1, 1, 1) \
+        + np.arange(kh).reshape(1, 1, 1, kh, 1)
+    cols = (np.arange(ow) * stride - pad).reshape(1, ow, 1, 1, 1) \
+        + np.arange(kw).reshape(1, 1, 1, 1, kw)
+    chans = np.arange(c).reshape(1, 1, c, 1, 1)
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    index = np.where(inside, (chans * h + rows) * w + cols, c * h * w)
+    index = index.astype(np.intp).reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
+def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, pad: int,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Unfold ``x`` of shape (N, C, H, W) into (N*oh*ow, C*kh*kw) patches.
+
+    One gather per call: each image is flattened (with a trailing zero
+    standing in for the padding) and ``np.take`` reads every patch
+    element through a cached per-geometry index.  ``x`` may have any
+    memory layout; ``out`` is an optional C-contiguous destination.
+    """
+    n, c, h, w = x.shape
     kh, kw = kernel
+    index = _gather_index(c, h, w, kh, kw, stride, pad)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    # windows: (N, C, oh, ow, kh, kw) -> (N, oh, ow, C, kh, kw)
-    n, c, oh, ow = windows.shape[:4]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols)
+        source = np.empty((n, c * h * w + 1), dtype=x.dtype)
+        source[:, -1] = 0
+        # A view: the reshape only splits the contiguous trailing axis.
+        source[:, :-1].reshape(n, c, h, w)[...] = x
+    else:
+        source = x.reshape(n, c * h * w)
+    if out is None:
+        out = np.empty((n * (index.size // (c * kh * kw)), c * kh * kw),
+                       dtype=x.dtype)
+    # mode="wrap" writes straight into ``out`` (the default mode
+    # buffers it); every index is in range by construction.
+    np.take(source, index, axis=1, out=out.reshape(n, index.size),
+            mode="wrap")
+    return out
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
@@ -285,6 +327,44 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # ----------------------------------------------------------------------
 # Pooling
 # ----------------------------------------------------------------------
+def _pool_slices(x: np.ndarray, kernel: int, stride: int,
+                 padding: int) -> list[np.ndarray]:
+    """The ``kernel**2`` strided (N, C, oh, ow) views of a pooled input.
+
+    View ``i * kernel + j`` holds element ``(i, j)`` of every window, so
+    the list runs over window offsets in row-major order.  Padding is
+    filled with ``-inf`` so padded positions never win a window.
+    """
+    n, c, h, w = x.shape
+    oh = _out_size(h, kernel, stride, padding)
+    ow = _out_size(w, kernel, stride, padding)
+    if padding:
+        padded = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf,
+                         dtype=x.dtype)
+        padded[:, :, padding:padding + h, padding:padding + w] = x
+        x = padded
+    return [x[:, :, i:i + stride * (oh - 1) + 1:stride,
+              j:j + stride * (ow - 1) + 1:stride]
+            for i in range(kernel) for j in range(kernel)]
+
+
+def max_pool2d_kernel(x: np.ndarray, kernel: int, stride: int, padding: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Max-pooled array: an elementwise max over the window offsets.
+
+    Shared by :func:`max_pool2d` and the graph executor's maxpool node
+    (which passes an arena ``out`` buffer), so both produce the same
+    bits.
+    """
+    slices = _pool_slices(x, kernel, stride, padding)
+    if out is None:
+        out = np.empty(slices[0].shape, dtype=x.dtype)
+    np.copyto(out, slices[0])
+    for view in slices[1:]:
+        np.maximum(out, view, out=out)
+    return out
+
+
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None,
                padding: int = 0) -> Tensor:
     """Max pooling over NCHW input.
@@ -292,34 +372,34 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None,
     Padding is filled with ``-inf`` so padded positions never win a
     window (the convention of every deep-learning framework); with
     ``padding < kernel`` each window overlaps the image, so the output
-    stays finite.
+    stays finite.  Backward sends each window's gradient to its first
+    maximum in row-major order (``argmax``'s tie rule).
     """
     stride = stride or kernel
     x = as_tensor(x)
-    n, c, h, w = x.shape
-    oh = (h + 2 * padding - kernel) // stride + 1
-    ow = (w + 2 * padding - kernel) // stride + 1
-
-    data = x.data
-    if padding:
-        data = np.pad(data, ((0, 0), (0, 0), (padding, padding),
-                             (padding, padding)), constant_values=-np.inf)
-    windows = sliding_window_view(data, (kernel, kernel), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride].reshape(n, c, oh, ow, kernel * kernel)
-    argmax = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, argmax[..., None], axis=-1)[..., 0]
+    out = max_pool2d_kernel(x.data, kernel, stride, padding)
 
     def backward(g: np.ndarray) -> None:
-        ni, ci, ohi, owi = np.indices((n, c, oh, ow))
-        rows = ohi * stride + argmax // kernel - padding
-        cols = owi * stride + argmax % kernel - padding
-        dx = np.zeros_like(x.data)
+        slices = _pool_slices(x.data, kernel, stride, padding)
+        # Scan offsets last-to-first so the first maximum's offset is
+        # the one left standing.
+        winner = np.empty(out.shape, dtype=np.intp)
+        for offset in range(len(slices) - 1, -1, -1):
+            np.copyto(winner, offset, where=slices[offset] == out)
+        n, c, h, w = x.shape
         if padding:
-            valid = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-            np.add.at(dx, (ni[valid], ci[valid], rows[valid], cols[valid]),
-                      g[valid])
+            dx = np.zeros((n, c, h + 2 * padding, w + 2 * padding),
+                          dtype=x.dtype)
         else:
-            np.add.at(dx, (ni, ci, rows, cols), g)
+            dx = np.zeros_like(x.data)
+        # Last offset first: an input shared by overlapping windows then
+        # sums their gradients in window order.
+        views = _pool_slices(dx, kernel, stride, 0)
+        for offset in range(len(views) - 1, -1, -1):
+            np.add(views[offset], g, out=views[offset],
+                   where=winner == offset)
+        if padding:
+            dx = dx[:, :, padding:padding + h, padding:padding + w]
         x._accumulate(dx)
 
     return Tensor._make(out, (x,), backward)
@@ -383,7 +463,9 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  eps: float = 1e-5) -> Tensor:
     """Batch normalisation over the channel axis of NCHW input.
 
-    Running statistics are updated in place during training.
+    Running statistics are updated in place during training.  The
+    normalisation computes in ``x``'s dtype: running statistics and
+    ``eps`` are cast to it.
     """
     if training:
         mean = x.mean(axis=(0, 2, 3), keepdims=True)
@@ -393,8 +475,8 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         running_var *= (1.0 - momentum)
         running_var += momentum * var.data.reshape(-1)
     else:
-        mean = Tensor(running_mean.reshape(1, -1, 1, 1))
-        var = Tensor(running_var.reshape(1, -1, 1, 1))
+        mean = Tensor(running_mean.reshape(1, -1, 1, 1).astype(x.dtype))
+        var = Tensor(running_var.reshape(1, -1, 1, 1).astype(x.dtype))
     inv_std = (var + eps) ** -0.5
     normalised = (x - mean) * inv_std
     return normalised * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
@@ -414,9 +496,10 @@ def batch_norm2d_masked(x: Tensor, gamma: Tensor, beta: Tensor,
     x = as_tensor(x)
     keep = np.asarray(keep, dtype=np.intp)
     column = lambda v: v.reshape(1, -1, 1, 1)
-    # Same ops and dtype promotion as the dense eval path, on the slice.
-    inv_std = ((as_tensor(column(running_var[keep])) + eps) ** -0.5).data
-    normalised = (x.data[:, keep] - column(running_mean[keep])) * inv_std
+    stat = lambda v: column(v[keep]).astype(x.dtype)
+    # Same ops and dtypes as the dense eval path, on the slice.
+    inv_std = ((Tensor(stat(running_var)) + eps) ** -0.5).data
+    normalised = (x.data[:, keep] - stat(running_mean)) * inv_std
     gamma_kept = column(gamma.data[keep])
     out_kept = normalised * gamma_kept + column(beta.data[keep])
     out = np.zeros(x.shape, dtype=out_kept.dtype)

@@ -14,13 +14,18 @@ Three properties make it the reward-evaluation fast path:
   calls, so steady-state evaluation allocates nothing.
 * **Bit-exact by default.**  With ``fuse=False`` every node replays the
   eager op's exact numpy expression (same operands, same order, same
-  dtype promotion, same memory layout where reductions could care), so
-  executor logits are bit-for-bit identical to ``model(x)``.  With
-  ``fuse=True`` BatchNorm folds into the preceding convolution's
-  weights (the fold and the fused GEMM accumulate in float64, then
-  round once to the eager dtype) and a trailing ReLU joins the conv /
-  linear epilogue — approximate, but within ~1e-8 of an eager float64
-  forward; see ``docs/PERFORMANCE.md`` for the float32 story.
+  dtype, same memory layout where reductions could care) — im2col and
+  max pooling call the very kernels the eager ops use
+  (:func:`~repro.nn.functional.im2col`,
+  :func:`~repro.nn.functional.max_pool2d_kernel`) — so executor logits
+  are bit-for-bit identical to ``model(x)``.  Like the eager ops, every
+  node computes in its input's dtype: a float32 input runs float32 end
+  to end, a float64 input float64.  With ``fuse=True`` BatchNorm folds
+  into the preceding convolution's weights (the fold is computed once
+  in float64, then cast to the activation dtype for the GEMM) and a
+  trailing ReLU joins the conv / linear epilogue — approximate: within
+  ~1e-8 of the eager forward on float64 inputs, one float32 rounding
+  of the folded weights on float32 inputs.
 * **Mask-aware splitting.**  :meth:`GraphExecutor.set_mask_unit` splits
   the op list at a prunable unit's output.  All candidate masks share
   the prefix (cached per calibration slice), each mask re-runs only the
@@ -45,7 +50,7 @@ import time
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .functional import depthwise_windows
+from .functional import depthwise_windows, im2col, max_pool2d_kernel
 from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
                       GlobalAvgPool2d, Identity, Linear, MaxPool2d, Module,
                       ReLU, Sigmoid, Tanh, Upsample)
@@ -105,7 +110,7 @@ class _Node:
     """One traced op: ``kind`` + producing module + value ids."""
 
     __slots__ = ("kind", "module", "inputs", "out",
-                 "fused_weight", "fused_bias", "fused_relu")
+                 "fused_weight", "fused_bias", "fused_relu", "_fused_casts")
 
     def __init__(self, kind: str, module: Module | None,
                  inputs: list[int], out: int):
@@ -116,6 +121,18 @@ class _Node:
         self.fused_weight = None
         self.fused_bias = None
         self.fused_relu = False
+        self._fused_casts: dict = {}
+
+    def fused_cast(self, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """The folded GEMM operand ``weight.T`` and the folded bias in
+        ``dtype``, cast once and cached (the transpose is made
+        contiguous: small float32 GEMMs run faster on it)."""
+        cast = self._fused_casts.get(dtype)
+        if cast is None:
+            cast = (np.ascontiguousarray(self.fused_weight.T, dtype=dtype),
+                    self.fused_bias.astype(dtype, copy=False))
+            self._fused_casts[dtype] = cast
+        return cast
 
 
 #: Leaf module classes the tracer hooks; anything else (containers,
@@ -289,9 +306,10 @@ def _trace(model: Module, example: Tensor) -> tuple[_Tracer, int, int]:
 def _fold_bn_into_conv(conv_node: _Node, bn: BatchNorm2d) -> None:
     """Precompute float64 folded weights: BN(conv(x)) == conv'(x).
 
-    ``y·s + (b − μ)·s + β`` with ``s = γ / sqrt(σ² + ε)``; accumulating
-    the fold and the fused GEMM in float64 keeps the single rounding
-    step (back to the eager dtype) as the only drift source.
+    ``y·s + (b − μ)·s + β`` with ``s = γ / sqrt(σ² + ε)``.  The fold is
+    computed once in float64; the fused GEMM casts it to the activation
+    dtype (:meth:`_Node.fused_cast`), so a float64 forward sees the
+    exact fold and a float32 forward rounds each folded weight once.
     """
     conv = conv_node.module
     weight = conv.weight.data.astype(np.float64)
@@ -466,19 +484,8 @@ class GraphExecutor:
             return self._run_conv_depthwise(node, x)
         arena = self._arena
         n, c, h, w, k, s, p, oh, ow = _conv_geometry(conv, x)
-        if p:
-            padded = arena.get((n, c, h + 2 * p, w + 2 * p), x.dtype)
-            padded.fill(0)
-            padded[:, :, p:p + h, p:p + w] = x
-        else:
-            padded = x
-        windows = sliding_window_view(padded, (k, k),
-                                      axis=(2, 3))[:, :, ::s, ::s]
-        cols = arena.get((n * oh * ow, c * k * k), x.dtype)
-        cols.reshape(n, oh, ow, c, k, k)[...] = windows.transpose(
-            0, 2, 3, 1, 4, 5)
-        if p:
-            arena.put(padded)
+        cols = im2col(x, (k, k), s, p,
+                      out=arena.get((n * oh * ow, c * k * k), x.dtype))
         if node.fused_weight is not None:
             return self._conv_epilogue_fused(node, cols, n, oh, ow)
         w_mat = conv.weight.data.reshape(conv.weight.data.shape[0], -1)
@@ -495,15 +502,15 @@ class GraphExecutor:
 
     def _conv_epilogue_fused(self, node: _Node, cols: np.ndarray,
                              n: int, oh: int, ow: int):
-        # Folded conv+BN stays float64: the unfused BN output is float64
-        # too (``var + eps`` promotes through a 0-d float64 scalar), so
-        # this matches the eager dtype while accumulating exactly.
+        # The GEMM runs in the activation dtype, like the unfused conv
+        # and BN it replaces; the float64 fold is cast once per dtype.
         arena = self._arena
-        f = node.fused_weight.shape[0]
-        acc = arena.get((n * oh * ow, f), np.float64)
-        np.matmul(cols, node.fused_weight.T, out=acc)
+        weight_t, bias = node.fused_cast(cols.dtype)
+        f = weight_t.shape[1]
+        acc = arena.get((n * oh * ow, f), cols.dtype)
+        np.matmul(cols, weight_t, out=acc)
         arena.put(cols)
-        acc += node.fused_bias
+        acc += bias
         if node.fused_relu:
             np.maximum(acc, 0.0, out=acc)
         out = acc.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
@@ -538,25 +545,17 @@ class GraphExecutor:
         return buf, buf
 
     def _run_bn(self, node: _Node, x: np.ndarray):
-        # Replays the eager eval-mode chain exactly, including its dtype
-        # promotion: ``var + eps`` goes through a 0-d float64 scalar, so
-        # inv_std — and therefore the BN output — is always float64.
+        # Replays the eager eval-mode chain exactly: running statistics
+        # and ``eps`` are cast to the activation dtype, so the whole
+        # normalisation computes in ``x.dtype``.
         bn = node.module
-        arena = self._arena
         column = lambda v: v.reshape(1, -1, 1, 1)
-        mean = column(bn.running_mean)
-        inv_std = (column(bn.running_var) + np.asarray(bn.eps)) ** -0.5
-        sub_dtype = np.result_type(x, mean)
-        out_dtype = np.result_type(sub_dtype, inv_std)
-        buf, base = self._alloc_like(x, out_dtype)
-        if sub_dtype == out_dtype:
-            np.subtract(x, mean, out=buf)
-            np.multiply(buf, inv_std, out=buf)
-        else:
-            sub, sub_base = self._alloc_like(x, sub_dtype)
-            np.subtract(x, mean, out=sub)
-            np.multiply(sub, inv_std, out=buf)
-            arena.put(sub_base)
+        mean = column(bn.running_mean).astype(x.dtype)
+        inv_std = (column(bn.running_var).astype(x.dtype)
+                   + x.dtype.type(bn.eps)) ** -0.5
+        buf, base = self._alloc_like(x, x.dtype)
+        np.subtract(x, mean, out=buf)
+        np.multiply(buf, inv_std, out=buf)
         np.multiply(buf, column(bn.weight.data), out=buf)
         np.add(buf, column(bn.bias.data), out=buf)
         return buf, base
@@ -586,21 +585,10 @@ class GraphExecutor:
         k, s = pool.kernel_size, pool.stride
         p = getattr(pool, "padding", 0)
         n, c, h, w = x.shape
-        if p:
-            # Eager pads with -inf so padded positions never win the max.
-            padded = self._arena.get((n, c, h + 2 * p, w + 2 * p), x.dtype)
-            padded.fill(-np.inf)
-            padded[:, :, p:p + h, p:p + w] = x
-        else:
-            padded = x
         oh = (h + 2 * p - k) // s + 1
         ow = (w + 2 * p - k) // s + 1
-        windows = sliding_window_view(padded, (k, k),
-                                      axis=(2, 3))[:, :, ::s, ::s]
         buf = self._arena.get((n, c, oh, ow), x.dtype)
-        np.max(windows, axis=(-2, -1), out=buf)
-        if p:
-            self._arena.put(padded)
+        max_pool2d_kernel(x, k, s, p, out=buf)
         return buf, buf
 
     def _run_avgpool(self, node: _Node, x: np.ndarray):
@@ -619,11 +607,9 @@ class GraphExecutor:
         n, c, h, w = x.shape
         total = arena.get((n, c), x.dtype)
         np.sum(x, axis=(2, 3), out=total)
-        count = np.asarray(float(h * w))    # eager mean divides by a 0-d
-        buf = arena.get((n, c), np.result_type(x, count))  # float64 array
-        np.divide(total, count, out=buf)
-        arena.put(total)
-        return buf, buf
+        # Eager ``mean`` divides by the count cast to the input dtype.
+        np.divide(total, x.dtype.type(h * w), out=total)
+        return total, total
 
     def _run_upsample(self, node: _Node, x: np.ndarray):
         out = np.repeat(np.repeat(x, node.module.scale, axis=2),
@@ -979,8 +965,9 @@ def compile(model: Module, example_input, *, fuse: bool = True,
     fuse:
         Fold BatchNorm into the preceding convolution and absorb
         trailing ReLUs into conv/linear epilogues.  Fused execution is
-        *approximate* (float64-accumulated, one rounding step); pass
-        ``fuse=False`` for bit-exact replay of the eager forward.
+        *approximate* (the float64 fold is rounded to the activation
+        dtype once); pass ``fuse=False`` for bit-exact replay of the
+        eager forward.
     mask_batch:
         Score batches of candidate masks in a single suffix forward by
         folding them into the batch dimension (perf mode; the larger

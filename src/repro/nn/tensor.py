@@ -11,7 +11,9 @@ The engine is deliberately small: only the primitives the HeadStart
 reproduction needs are implemented, each with a hand-written backward
 rule (verified by numerical gradient checks in the test suite).
 Broadcasting follows numpy semantics; gradients flowing into a broadcast
-operand are summed back down to the operand's shape.
+operand are summed back down to the operand's shape.  Every op computes
+in its input's dtype: Python-scalar operands take the tensor's dtype, so
+a float32 forward (and its backward) stays float32 end to end.
 """
 
 from __future__ import annotations
@@ -196,8 +198,23 @@ class Tensor:
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
+    def _operand(self, other) -> "Tensor":
+        """Coerce an arithmetic operand; Python scalars take our dtype.
+
+        ``float32 + 1e-5`` must stay float32: wrapping the scalar in a
+        0-d float64 array would promote the whole expression.  NumPy
+        scalars and arrays keep their own dtype.
+        """
+        if isinstance(other, Tensor):
+            return other
+        if (isinstance(other, (int, float))
+                and not isinstance(other, np.generic)
+                and np.issubdtype(self.data.dtype, np.floating)):
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return Tensor(np.asarray(other))
+
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
         data = self.data + other.data
 
         def backward(g: np.ndarray) -> None:
@@ -217,13 +234,13 @@ class Tensor:
         return Tensor._make(-self.data, (self,), backward)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-as_tensor(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other) -> "Tensor":
-        return as_tensor(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
         data = self.data * other.data
 
         def backward(g: np.ndarray) -> None:
@@ -237,7 +254,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
         data = self.data / other.data
 
         def backward(g: np.ndarray) -> None:
@@ -250,7 +267,7 @@ class Tensor:
         return Tensor._make(data, (self, other), backward)
 
     def __rtruediv__(self, other) -> "Tensor":
-        return as_tensor(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -264,7 +281,7 @@ class Tensor:
         return Tensor._make(data, (self,), backward)
 
     def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
+        other = self._operand(other)
         data = self.data @ other.data
 
         def backward(g: np.ndarray) -> None:
@@ -363,7 +380,7 @@ class Tensor:
         else:
             axes = axis if isinstance(axis, tuple) else (axis,)
             count = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) / float(count)
+        return self.sum(axis=axis, keepdims=keepdims) / count
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.max(axis=axis, keepdims=keepdims)

@@ -19,7 +19,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import EvalCache, HeadStartConfig, HeadStartNetwork, mask_key
+from repro.core import (EvalCache, EvalOptions, HeadStartConfig,
+                        HeadStartNetwork, mask_key)
 from repro.core.config import PERF_FIELDS, resume_relevant
 from repro.core.reinforce import ReinforceDriver
 from repro.models import lenet, vgg16, ResNet
@@ -217,7 +218,8 @@ class TestCachedRunBitForBit:
                                                  trained_lenet):
         runs = {}
         for label, cached in (("uncached", False), ("cached", True)):
-            pruner = _pruner(tiny_task, trained_lenet, eval_cache=cached)
+            pruner = _pruner(tiny_task, trained_lenet,
+                             eval=EvalOptions(cache=cached))
             runner = ResumableRunner(engine=pruner)
             report = runner.run(tmp_path / label)
             runs[label] = (pruner, report)
@@ -235,9 +237,11 @@ class TestCachedRunBitForBit:
             assert np.array_equal(base_state[key], fast_state[key]), key
 
     def test_resume_digest_ignores_perf_knobs(self, tiny_task, trained_lenet):
-        plain = _pruner(tiny_task, trained_lenet, eval_cache=False)
-        tuned = _pruner(tiny_task, trained_lenet, eval_cache=True,
-                        cache_size=7, compressed_eval=True)
+        plain = _pruner(tiny_task, trained_lenet,
+                        eval=EvalOptions(cache=False))
+        tuned = _pruner(tiny_task, trained_lenet,
+                        eval=EvalOptions(cache=True, cache_size=7,
+                                         compressed=True))
         assert config_digest(plain.fingerprint()) \
             == config_digest(tuned.fingerprint())
         # ... while semantic fields still change it.
