@@ -19,7 +19,7 @@ from ..nn.graph import compile as graph_compile
 from ..nn.modules import Module
 from ..nn.tensor import Tensor
 from ..obs import get_recorder
-from ..pruning.surgery import channel_mask, compressed_mask
+from ..pruning.surgery import channel_mask
 from ..pruning.units import ConvUnit
 from ..training import evaluate
 from .config import HeadStartConfig
@@ -97,8 +97,8 @@ class LayerAgent:
     def _build_graph(self):
         """Compile the model once for this layer, or fall back to eager.
 
-        A model the tracer cannot express (data-dependent control flow,
-        an active compressed-eval gate) raises
+        A model the tracer cannot express (data-dependent control flow)
+        raises
         :class:`~repro.nn.graph.GraphTraceError`; the agent then keeps
         the eager path and journals nothing — the ``graph/*`` counters
         are operational, so a fallen-back run still diffs clean against
@@ -130,9 +130,7 @@ class LayerAgent:
             key = f"{self.unit.name}@{'full' if full else 'batch'}"
             return float(self._graph.masked_accuracy(
                 images, labels, [np.asarray(action) > 0.5], key=key)[0])
-        masker = compressed_mask if self.config.eval.compressed \
-            else channel_mask
-        with masker(self.unit, action.astype(bool)):
+        with channel_mask(self.unit, action.astype(bool)):
             return evaluate(self.model, images, labels)
 
     def _reward(self, action: np.ndarray, original_accuracy: float,

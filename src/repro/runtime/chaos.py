@@ -39,8 +39,8 @@ __all__ = ["ENGINE_KINDS", "SERVE_SCENARIOS", "run_chaos",
 
 #: Engine kinds the matrix covers: one per stepped-engine implementation,
 #: plus a fast-path column (``headstart-cached``) that reruns the HeadStart
-#: scenario with the reward eval-cache and compressed masked forward on —
-#: the kill/resume contract must hold identically on the fast path — a
+#: scenario with the reward eval-cache on (eager dense eval) — the
+#: kill/resume contract must hold identically with memoization — a
 #: worker-kill column (``headstart-pool``) that runs the scenario with a
 #: 2-process evaluation pool whose workers are SIGKILLed on their first
 #: task in the killed *and* resumed phases: the pool must degrade to
@@ -86,7 +86,7 @@ def _make_runner(kind: str, task, seed: int,
                         width_multiplier=0.25,
                         rng=np.random.default_rng(seed))
     # The plain column pins the slow path (no memoization) so the matrix
-    # keeps covering it; the -cached column turns on the whole fast path;
+    # keeps covering it; the -cached column turns on reward memoization;
     # the -pool column shards reward evaluations across worker processes;
     # the -graph column keeps the cache on and flips only the executor
     # between phases (graph eval is a PERF_FIELD, so the digest matches).
@@ -97,7 +97,6 @@ def _make_runner(kind: str, task, seed: int,
         speedup=2.0, max_iterations=6, min_iterations=3,
         patience=3, eval_batch=16, seed=seed, mc_samples=2,
         eval=EvalOptions(cache=cached or pooled or graphed,
-                         compressed=cached,
                          graph=graphed and graph,
                          workers=2 if pooled else 0))
     if kind in ("headstart", "headstart-cached", "headstart-pool",

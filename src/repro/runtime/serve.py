@@ -59,7 +59,7 @@ Job specs are flat JSON objects; every field is optional (see
 (``headstart``, ``block``, ``amc``, or a metric kind like ``li17``);
 ``workers``/``task_seconds``/``task_retries`` thread through to the
 evaluation pool (:mod:`repro.runtime.pool`); ``eval_mode``
-(``dense``/``compressed``/``graph``) picks the reward evaluation path
+(``dense``/``graph``) picks the reward evaluation path
 (:class:`repro.core.EvalOptions`).  Unknown or mistyped fields are
 rejected at submission with the offending names (and a did-you-mean
 hint), never silently dropped.
@@ -112,9 +112,12 @@ SPEC_DEFAULTS: dict = {
     "workers": 0,
     "task_seconds": None,
     "task_retries": 2,
-    "eval_mode": "dense",       # dense | compressed | graph
+    "eval_mode": "dense",       # dense | graph, checked at submit
     "collapse_ratio": None,     # None -> engine-appropriate default
 }
+
+#: Legal ``eval_mode`` values: the reward evaluation paths.
+_EVAL_MODES = ("dense", "graph")
 
 #: Seconds a claim's lease stays valid without renewal.  Generous by
 #: default: a takeover before expiry still happens instantly when the
@@ -160,9 +163,9 @@ def _resolve_spec(spec: dict) -> dict:
     """Validate a submitted spec against ``SPEC_DEFAULTS`` and fill it.
 
     Collects *all* problems — unknown fields (with close-match hints,
-    so ``worker`` points at ``workers``) and type mismatches against
-    each field's default — into one error, rather than failing them one
-    at a time.
+    so ``worker`` points at ``workers``), type mismatches against each
+    field's default and an ``eval_mode`` outside ``_EVAL_MODES`` —
+    into one error, rather than failing them one at a time.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"job spec must be a JSON object, got "
@@ -191,6 +194,10 @@ def _resolve_spec(spec: dict) -> dict:
             problems.append(
                 f"field {key!r} expects {expected.__name__}, got "
                 f"{type(value).__name__} ({value!r})")
+    mode = spec.get("eval_mode")
+    if isinstance(mode, str) and mode not in _EVAL_MODES:
+        problems.append(f"field 'eval_mode' must be one of "
+                        f"{', '.join(_EVAL_MODES)}, got {mode!r}")
     if problems:
         raise ValueError(
             "invalid job spec: " + "; ".join(problems)
@@ -208,9 +215,10 @@ def build_job_runner(spec: dict, workers: int | None = None,
     pre-training all seed from the spec, so re-building the runner for
     a resumed job reproduces the exact inputs the journal digest pinned.
     ``workers`` overrides the spec's pool width (daemon-level knob);
-    pool settings are PERF_FIELDS, so the override cannot invalidate an
-    existing journal.  ``stop_check`` threads through to the runner's
-    cooperative-drain hook (likewise outside the resume digest).
+    pool settings live in the ``eval`` block, a PERF_FIELD, so the
+    override cannot invalidate an existing journal.  ``stop_check``
+    threads through to the runner's cooperative-drain hook (likewise
+    outside the resume digest).
     """
     from ..core import (AMCConfig, AMCLitePruner, BlockHeadStart,
                         EvalOptions, FinetuneConfig, HeadStartConfig,
@@ -239,12 +247,7 @@ def build_job_runner(spec: dict, workers: int | None = None,
             TrainConfig(epochs=int(spec["epochs"]), batch_size=24,
                         lr=0.05, seed=seed))
     kind = spec["engine"]
-    mode = spec["eval_mode"]
-    if mode not in ("dense", "compressed", "graph"):
-        raise ValueError(f"unknown eval_mode {mode!r} (expected dense, "
-                         "compressed or graph)")
-    eval_options = EvalOptions(compressed=mode == "compressed",
-                               graph=mode == "graph",
+    eval_options = EvalOptions(graph=spec["eval_mode"] == "graph",
                                workers=int(spec["workers"]),
                                task_seconds=spec["task_seconds"],
                                task_retries=int(spec["task_retries"]))

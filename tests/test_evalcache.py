@@ -1,15 +1,13 @@
-"""Fast-path lockdown: eval cache, batched scoring, compressed forward.
+"""Fast-path lockdown: eval cache, batched scoring, resume digests.
 
-Three contracts, each enforced here:
+Two contracts, each enforced here:
 
 1. :class:`repro.core.evalcache.EvalCache` memoizes on the exact binary
    mask with LRU bounds and accurate counters.
-2. The compressed masked forward (``compressed_mask``) equals the dense
-   zeroing mask (``channel_mask``) to 1e-10 on full-model forwards —
-   conv-only, conv+BN and residual topologies.
-3. A cached pruning run is *bit-for-bit* identical to an uncached one
+2. A cached pruning run is *bit-for-bit* identical to an uncached one
    at the same seed: same journal payloads, same final accuracy, same
-   state dict — and the resume digest ignores the performance knobs.
+   state dict — and the resume digest ignores every ``EvalOptions``
+   knob, matching the digest pinned for existing journals.
 """
 
 import copy
@@ -17,24 +15,14 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from repro.core import (EvalCache, EvalOptions, HeadStartConfig,
                         HeadStartNetwork, mask_key)
 from repro.core.config import PERF_FIELDS, resume_relevant
 from repro.core.reinforce import ReinforceDriver
-from repro.models import lenet, vgg16, ResNet
-from repro.nn import Tensor, no_grad
 from repro.obs import Recorder, use_recorder
-from repro.pruning import channel_mask, compressed_mask
 from repro.runtime import ResumableRunner
 from repro.runtime.journal import RunJournal, config_digest
-
-
-def forward(model, x):
-    model.eval()
-    with no_grad():
-        return model(Tensor(x)).data.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -115,82 +103,7 @@ class TestEvalCache:
 
 
 # ---------------------------------------------------------------------------
-# 2. Compressed masked forward == dense zeroing mask
-# ---------------------------------------------------------------------------
-
-def _random_mask(rng, size):
-    mask = rng.random(size) > 0.5
-    mask[rng.integers(size)] = True               # never prune everything
-    return mask
-
-
-def _assert_maskers_agree(model_fn, rng, image_size=12, tol=1e-10):
-    dense_model, fast_model = model_fn(), model_fn()
-    x = rng.normal(size=(4, 3, image_size, image_size)).astype(np.float64)
-    for index in range(len(dense_model.prune_units())):
-        dense_unit = dense_model.prune_units()[index]
-        fast_unit = fast_model.prune_units()[index]
-        mask = _random_mask(rng, dense_unit.num_maps)
-        with channel_mask(dense_unit, mask):
-            dense = forward(dense_model, x)
-        with compressed_mask(fast_unit, mask):
-            fast = forward(fast_model, x)
-        assert np.allclose(dense, fast, atol=tol, rtol=0.0), \
-            f"unit #{index} ({dense_unit.name}) diverged"
-
-
-class TestCompressedForwardEquivalence:
-    def test_lenet_conv_only(self, rng):
-        _assert_maskers_agree(
-            lambda: lenet(num_classes=6, input_size=12,
-                          rng=np.random.default_rng(5)), rng)
-
-    def test_vgg_conv_bn(self, rng):
-        _assert_maskers_agree(
-            lambda: vgg16(num_classes=6, input_size=12,
-                          width_multiplier=0.125,
-                          rng=np.random.default_rng(6)), rng)
-
-    def test_resnet_residual(self, rng):
-        _assert_maskers_agree(
-            lambda: ResNet((2, 2, 2), num_classes=6, width_multiplier=0.5,
-                           rng=np.random.default_rng(8)), rng,
-            image_size=16)
-
-    def test_dropped_channels_exactly_zero(self, rng):
-        model = vgg16(num_classes=6, input_size=12, width_multiplier=0.125,
-                      rng=np.random.default_rng(9))
-        unit = model.prune_units()[0]
-        mask = _random_mask(rng, unit.num_maps)
-        x = Tensor(rng.normal(size=(2, 3, 12, 12)))
-        model.eval()
-        with compressed_mask(unit, mask), no_grad():
-            conv_out = unit.conv(x)
-        assert np.all(conv_out.data[:, ~mask] == 0.0)
-
-    def test_training_forward_raises(self, rng):
-        model = vgg16(num_classes=6, input_size=12, width_multiplier=0.125,
-                      rng=np.random.default_rng(10))
-        unit = model.prune_units()[0]
-        mask = np.ones(unit.num_maps, dtype=bool)
-        model.train()
-        with compressed_mask(unit, mask):
-            with pytest.raises(RuntimeError, match="eval-only"):
-                model(Tensor(rng.normal(size=(1, 3, 12, 12))))
-
-    def test_gate_reset_on_exception(self, rng):
-        model = vgg16(num_classes=6, input_size=12, width_multiplier=0.125,
-                      rng=np.random.default_rng(12))
-        unit = model.prune_units()[0]
-        with pytest.raises(ValueError):
-            with compressed_mask(unit, np.ones(unit.num_maps, dtype=bool)):
-                raise ValueError("boom")
-        assert unit.conv._eval_keep is None
-        assert unit.bn._eval_keep is None
-
-
-# ---------------------------------------------------------------------------
-# 3. Cached run == uncached run, bit for bit
+# 2. Cached run == uncached run, bit for bit
 # ---------------------------------------------------------------------------
 
 def _pruner(tiny_task, trained_lenet, **config_overrides):
@@ -241,13 +154,21 @@ class TestCachedRunBitForBit:
                         eval=EvalOptions(cache=False))
         tuned = _pruner(tiny_task, trained_lenet,
                         eval=EvalOptions(cache=True, cache_size=7,
-                                         compressed=True))
+                                         graph=True, fused=True,
+                                         mask_batch=True, workers=2))
         assert config_digest(plain.fingerprint()) \
             == config_digest(tuned.fingerprint())
         # ... while semantic fields still change it.
         other = _pruner(tiny_task, trained_lenet, seed=6)
         assert config_digest(plain.fingerprint()) \
             != config_digest(other.fingerprint())
+
+    def test_resume_digest_matches_existing_journals(self, tiny_task,
+                                                     trained_lenet):
+        # Pinned from the release that still accepted the flat eval
+        # fields: journals written then must keep resuming.
+        pruner = _pruner(tiny_task, trained_lenet)
+        assert config_digest(pruner.fingerprint()) == "93d9bb3c1e795ad7"
 
     def test_resume_relevant_strips_only_perf_fields(self):
         fields = resume_relevant(HeadStartConfig())

@@ -11,8 +11,9 @@ The graph executor's whole contract is *it changes nothing but speed*:
   ``channel_mask`` forward bitwise, surgered (physically pruned) models
   retrace and still match, and mask-batch scoring equals the per-mask
   loop;
-* the ``EvalOptions`` redesign keeps every old spelling working
-  (deprecation-warned) with unchanged resume digests.
+* ``EvalOptions`` is the only spelling of the eval knobs: the removed
+  flat config fields and CLI aliases are rejected, and resume digests
+  ignore the whole block.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.cli import _eval_options, build_parser
+from repro.core import EvalOptions, HeadStartConfig
 from repro.models import available_models, build_model
 from repro.nn import Tensor, no_grad
 from repro.nn.graph import GraphTraceError
 from repro.nn.graph import compile as graph_compile
-from repro.pruning.surgery import channel_mask, compressed_mask, prune_unit
+from repro.pruning.surgery import channel_mask, prune_unit
 
 #: Small enough to keep resnet110/vgg19 cheap, big enough to exercise
 #: every stage transition.
@@ -162,63 +165,24 @@ class TestMaskedScenarios:
         got = executor.masked_accuracy(images, labels, [mask], key="t")
         assert float(got[0]) == dense
 
-    def test_compressed_gate_refuses_compilation(self, trained_lenet):
-        model = trained_lenet
-        model.eval()
-        unit = model.prune_units()[0]
-        mask = np.ones(unit.num_maps, dtype=bool)
-        x = Tensor(np.zeros((1, 3, 12, 12), dtype=np.float32))
-        with compressed_mask(unit, mask):
-            with pytest.raises(GraphTraceError, match="compressed"):
-                graph_compile(model, x)
-
 
 class TestEvalOptions:
     def test_validation_rejects_incoherent_combinations(self):
-        from repro.core import EvalOptions
-
-        with pytest.raises(ValueError):
-            EvalOptions(compressed=True, graph=True)
         with pytest.raises(ValueError):
             EvalOptions(fused=True)           # fused requires graph
         with pytest.raises(ValueError):
             EvalOptions(mask_batch=True)      # mask_batch requires graph
         with pytest.raises(ValueError):
             EvalOptions(workers=-1)
-        assert EvalOptions(graph=True, fused=True).mode == "graph"
-        assert EvalOptions(compressed=True).mode == "compressed"
-        assert EvalOptions().mode == "dense"
-
-    def test_legacy_kwargs_warn_and_land_in_eval(self):
-        from repro.core import HeadStartConfig
-
-        with pytest.warns(DeprecationWarning, match="compressed_eval"):
-            config = HeadStartConfig(speedup=2.0, compressed_eval=True,
-                                     cache_size=64)
-        assert config.eval.compressed is True
-        assert config.eval.cache_size == 64
-
-    def test_legacy_reads_warn_but_graph_eval_alias_does_not(self):
-        from repro.core import EvalOptions, HeadStartConfig
-
-        config = HeadStartConfig(speedup=2.0,
-                                 eval=EvalOptions(graph=True, workers=3))
-        with pytest.warns(DeprecationWarning, match="workers"):
-            assert config.workers == 3
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert config.graph_eval is True    # non-deprecated alias
 
     def test_old_and_new_spellings_share_a_resume_digest(self):
-        from repro.core import EvalOptions, HeadStartConfig
         from repro.core.config import resume_relevant
 
+        # The journaled dict form and the dataclass spell the same block.
         new = HeadStartConfig(speedup=2.0, seed=5,
                               eval=EvalOptions(cache=False, workers=4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = HeadStartConfig(speedup=2.0, seed=5, eval_cache=False,
-                                  workers=4)
+        old = HeadStartConfig(speedup=2.0, seed=5,
+                              eval={"cache": False, "workers": 4})
         dense = HeadStartConfig(speedup=2.0, seed=5)
         graph = HeadStartConfig(speedup=2.0, seed=5,
                                 eval=EvalOptions(graph=True, fused=True,
@@ -228,8 +192,6 @@ class TestEvalOptions:
         assert resume_relevant(dense) == resume_relevant(graph)
 
     def test_replace_round_trips_without_warnings(self):
-        from repro.core import EvalOptions, HeadStartConfig
-
         config = HeadStartConfig(speedup=2.0,
                                  eval=EvalOptions(cache_size=99))
         with warnings.catch_warnings():
@@ -238,8 +200,6 @@ class TestEvalOptions:
         assert clone.eval.cache_size == 99 and clone.seed == 9
 
     def test_journaled_dict_form_is_coerced(self):
-        from repro.core import HeadStartConfig
-
         config = HeadStartConfig(speedup=2.0,
                                  eval={"graph": True, "cache_size": 8})
         assert config.eval.graph is True and config.eval.cache_size == 8
@@ -248,8 +208,6 @@ class TestEvalOptions:
 class TestCliEvalFlags:
     @staticmethod
     def _parse(extra):
-        from repro.cli import _eval_options, build_parser
-
         args = build_parser().parse_args(
             ["prune", "--model", "lenet"] + extra)
         return _eval_options(args)
@@ -258,25 +216,36 @@ class TestCliEvalFlags:
         options = self._parse(["--eval-mode", "graph", "--eval-fused",
                                "--eval-mask-batch", "--eval-workers", "2"])
         assert options.graph and options.fused and options.mask_batch
-        assert options.workers == 2 and not options.compressed
+        assert options.workers == 2
 
     def test_defaults_are_cached_dense(self):
-        options = self._parse([])
-        assert options.mode == "dense" and options.cache
+        assert self._parse([]) == EvalOptions()
 
-    def test_deprecated_flags_still_work(self, capsys):
-        options = self._parse(["--compressed-eval", "--cache-size", "32"])
-        assert options.compressed and options.cache_size == 32
-        assert "deprecated" in capsys.readouterr().err
 
-    def test_new_flags_win_over_deprecated(self):
-        options = self._parse(["--compressed-eval", "--eval-mode", "graph"])
-        assert options.graph and not options.compressed
+def _prune_flags(*flags):
+    return lambda: build_parser().parse_args(
+        ["prune", "--model", "lenet", *flags])
+
+
+@pytest.mark.parametrize("spelling, error", [
+    pytest.param(lambda: HeadStartConfig(compressed_eval=True), TypeError,
+                 id="config-compressed_eval"),
+    pytest.param(lambda: EvalOptions(compressed=True), TypeError,
+                 id="evaloptions-compressed"),
+    pytest.param(_prune_flags("--eval-mode", "compressed"), SystemExit,
+                 id="eval-mode-compressed"),
+    pytest.param(_prune_flags("--workers", "2"), SystemExit,
+                 id="prune-workers"),
+])
+def test_removed_eval_spellings_are_rejected(spelling, error):
+    with pytest.raises(error) as info:
+        spelling()
+    if error is SystemExit:
+        assert info.value.code == 2
 
 
 class TestBatchedScoring:
     def test_batched_scorer_matches_serial_driver(self):
-        from repro.core import HeadStartConfig
         from repro.core.policy import HeadStartNetwork
         from repro.core.reinforce import ReinforceDriver
 

@@ -18,6 +18,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.runtime import JobQueue, ServeDaemon
+from repro.runtime.serve import build_job_runner
 from repro.runtime.faults import FaultPlan, SimulatedCrash, inject
 from repro.runtime.journal import RunJournal
 
@@ -54,6 +55,14 @@ class TestJobQueue:
     def test_unknown_spec_field_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="sed"):
             JobQueue(tmp_path).submit({"engine": "li17", "sed": 3})
+
+    def test_runner_rejects_a_queued_unknown_eval_mode(self):
+        # A spec that reached pending/ without passing submit (written by
+        # hand, or queued before the mode was retired) fails with the same
+        # typed error when a daemon builds its runner, so it burns its
+        # attempts and is quarantined like any other poison job.
+        with pytest.raises(ValueError, match="invalid job spec.*eval_mode"):
+            build_job_runner({"engine": "li17", "eval_mode": "compressed"})
 
     def test_recover_honours_a_live_lease(self, tmp_path):
         queue = JobQueue(tmp_path)
@@ -215,3 +224,12 @@ class TestServeCli:
         assert cli_main(["serve", root, "--submit",
                          str(tmp_path / "missing.json")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("mode", ["grpah", "compressed"])
+    def test_submit_rejects_unknown_eval_mode(self, tmp_path, capsys, mode):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"engine": "li17", "eval_mode": mode}))
+        root = tmp_path / "queue"
+        assert cli_main(["serve", str(root), "--submit", str(spec_path)]) == 2
+        assert "eval_mode" in capsys.readouterr().err
+        assert not list((root / "pending").glob("*"))
