@@ -1,9 +1,11 @@
 """Neural-network operators built on the autograd engine.
 
-Convolution and pooling are implemented with hand-written backward rules
-(im2col / col2im) for speed; normalisation, softmax and losses are
-composed from :class:`~repro.nn.tensor.Tensor` primitives so their
-gradients come straight from the engine.
+Convolution, pooling and batch normalisation are single autograd nodes
+with hand-written backward rules (im2col / col2im; batch norm replays
+the arithmetic of its composed form, so its gradients are bit-identical
+to it) for speed; softmax and losses are composed from
+:class:`~repro.nn.tensor.Tensor` primitives so their gradients come
+straight from the engine.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, _unbroadcast, as_tensor
 
 __all__ = [
     "im2col", "col2im", "conv2d", "conv2d_depthwise", "depthwise_windows",
     "linear", "max_pool2d", "max_pool2d_kernel", "avg_pool2d",
-    "global_avg_pool2d", "upsample_nearest", "batch_norm2d", "dropout",
+    "global_avg_pool2d", "upsample_nearest", "batch_norm2d",
+    "batch_norm2d_stats", "batch_norm2d_kernel", "dropout",
     "log_softmax",
     "softmax", "cross_entropy", "nll_loss", "mse_loss",
 ]
@@ -85,20 +88,27 @@ def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, pad: int,
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
            kernel: tuple[int, int], stride: int, pad: int) -> np.ndarray:
-    """Fold patch gradients back to an image gradient (inverse of im2col)."""
+    """Fold patch gradients back to an image gradient (inverse of im2col).
+
+    Accumulates in channels-last order: ``cols`` rows are ``(oh, ow, C,
+    kh, kw)``, so each of the ``kh*kw`` strided adds into the ``(N, Hp,
+    Wp, C)`` buffer reads nearly contiguous memory.  The adds and their
+    order are those of the NCHW formulation, so the values are bit-for-bit
+    the same; the result is returned C-contiguous (NCHW), the memory
+    order downstream reductions sum in.
+    """
     n, c, h, w = x_shape
     kh, kw = kernel
     hp, wp = h + 2 * pad, w + 2 * pad
     oh = _out_size(h, kh, stride, pad)
     ow = _out_size(w, kw, stride, pad)
-    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    image = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    cols = cols.reshape(n, oh, ow, c, kh, kw)
+    image = np.zeros((n, hp, wp, c), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
-            image[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
-    if pad:
-        image = image[:, :, pad:hp - pad, pad:wp - pad]
-    return image
+            image[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[..., i, j]
+    return np.ascontiguousarray(
+        image[:, pad:hp - pad, pad:wp - pad].transpose(0, 3, 1, 2))
 
 
 # ----------------------------------------------------------------------
@@ -265,12 +275,14 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None,
     out = max_pool2d_kernel(x.data, kernel, stride, padding)
 
     def backward(g: np.ndarray) -> None:
-        slices = _pool_slices(x.data, kernel, stride, padding)
-        # Scan offsets last-to-first so the first maximum's offset is
-        # the one left standing.
-        winner = np.empty(out.shape, dtype=np.intp)
-        for offset in range(len(slices) - 1, -1, -1):
-            np.copyto(winner, offset, where=slices[offset] == out)
+        # hits[k]: windows whose first maximum sits at offset k.
+        unclaimed = np.ones(out.shape, dtype=bool)
+        hits = []
+        for view in _pool_slices(x.data, kernel, stride, padding):
+            hit = view == out
+            hit &= unclaimed
+            unclaimed ^= hit
+            hits.append(hit)
         n, c, h, w = x.shape
         if padding:
             dx = np.zeros((n, c, h + 2 * padding, w + 2 * padding),
@@ -278,11 +290,12 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None,
         else:
             dx = np.zeros_like(x.data)
         # Last offset first: an input shared by overlapping windows then
-        # sums their gradients in window order.
+        # sums their gradients in window order.  Adding +0 where a window
+        # missed changes no bit: ``dx`` starts at +0 and a sum is -0 only
+        # when both terms are.
         views = _pool_slices(dx, kernel, stride, 0)
-        for offset in range(len(views) - 1, -1, -1):
-            np.add(views[offset], g, out=views[offset],
-                   where=winner == offset)
+        for view, hit in zip(reversed(views), reversed(hits)):
+            view += np.where(hit, g, 0)
         if padding:
             dx = dx[:, :, padding:padding + h, padding:padding + w]
         x._accumulate(dx)
@@ -342,6 +355,37 @@ def upsample_nearest(x: Tensor, scale: int = 2) -> Tensor:
 # ----------------------------------------------------------------------
 # Normalisation / regularisation
 # ----------------------------------------------------------------------
+def batch_norm2d_stats(running_mean: np.ndarray, running_var: np.ndarray,
+                       eps: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Eval-mode ``(mean, inv_std)`` columns of shape (1, C, 1, 1).
+
+    Both are cast to ``dtype`` (the activation's), as is ``eps``, so the
+    normalisation computes in the input's dtype.
+    """
+    dtype = np.dtype(dtype)
+    mean = running_mean.reshape(1, -1, 1, 1).astype(dtype)
+    var = running_var.reshape(1, -1, 1, 1).astype(dtype)
+    return mean, (var + dtype.type(eps)) ** -0.5
+
+
+def batch_norm2d_kernel(x: np.ndarray, mean: np.ndarray, inv_std: np.ndarray,
+                        gamma: np.ndarray, beta: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Eval-mode batch norm ``(x - mean) * inv_std * gamma + beta``.
+
+    ``mean`` and ``inv_std`` come from :func:`batch_norm2d_stats`;
+    ``gamma`` and ``beta`` are per-channel vectors.  Computed in place in
+    ``out`` (allocated in ``x``'s memory order when not given).  Shared
+    by :func:`batch_norm2d` and the graph executor's BN node (which
+    passes an arena ``out`` buffer), so both produce the same bits.
+    """
+    out = np.subtract(x, mean, out=out)
+    np.multiply(out, inv_std, out=out)
+    np.multiply(out, gamma.reshape(1, -1, 1, 1), out=out)
+    np.add(out, beta.reshape(1, -1, 1, 1), out=out)
+    return out
+
+
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
                  training: bool, momentum: float = 0.1,
@@ -351,20 +395,78 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     Running statistics are updated in place during training.  The
     normalisation computes in ``x``'s dtype: running statistics and
     ``eps`` are cast to it.
+
+    One autograd node in both modes.  Its results are bit-for-bit those
+    of the same formula composed from :class:`Tensor` primitives (``x -
+    mean`` is ``x + (-mean)``, ``mean`` is ``sum / count``): the
+    forward runs the same numpy expressions, and the backward replays
+    what the engine's reverse topological order would do with the
+    composed graph — ``x`` receives the normalise, then the variance,
+    then the mean path's gradient, and every reduction is the same
+    :func:`_unbroadcast` call on an operand of the same memory order.
     """
-    if training:
-        mean = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = ((x - mean) ** 2).mean(axis=(0, 2, 3), keepdims=True)
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean.data.reshape(-1)
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var.data.reshape(-1)
-    else:
-        mean = Tensor(running_mean.reshape(1, -1, 1, 1).astype(x.dtype))
-        var = Tensor(running_var.reshape(1, -1, 1, 1).astype(x.dtype))
-    inv_std = (var + eps) ** -0.5
-    normalised = (x - mean) * inv_std
-    return normalised * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    gamma_c = gamma.data.reshape(1, -1, 1, 1)
+    if not training:
+        mean, inv_std = batch_norm2d_stats(running_mean, running_var, eps,
+                                           x.dtype)
+        out = batch_norm2d_kernel(x.data, mean, inv_std, gamma.data,
+                                  beta.data)
+
+        def eval_backward(g: np.ndarray) -> None:
+            if x.requires_grad:
+                x._accumulate(g * gamma_c * inv_std)
+            if gamma.requires_grad:
+                normalised = (x.data - mean) * inv_std
+                gamma._accumulate(_unbroadcast(
+                    g * normalised, gamma_c.shape).reshape(gamma.shape))
+            if beta.requires_grad:
+                beta._accumulate(
+                    _unbroadcast(g, gamma_c.shape).reshape(beta.shape))
+
+        return Tensor._make(out, (x, gamma, beta), eval_backward)
+
+    axes = (0, 2, 3)
+    dtype = x.dtype
+    count = dtype.type(x.size // x.shape[1])
+    mean = x.data.sum(axis=axes, keepdims=True) / count
+    centred = x.data + (-mean)
+    var = (centred ** 2).sum(axis=axes, keepdims=True) / count
+    running_mean *= (1.0 - momentum)
+    running_mean += momentum * mean.reshape(-1)
+    running_var *= (1.0 - momentum)
+    running_var += momentum * var.reshape(-1)
+    shifted_var = var + dtype.type(eps)
+    inv_std = shifted_var ** -0.5
+    normalised = centred * inv_std
+    out = normalised * gamma_c
+    out += beta.data.reshape(1, -1, 1, 1)
+
+    def backward(g: np.ndarray) -> None:
+        if beta.requires_grad:
+            beta._accumulate(
+                _unbroadcast(g, gamma_c.shape).reshape(beta.shape))
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(
+                g * normalised, gamma_c.shape).reshape(gamma.shape))
+        if not x.requires_grad:
+            return
+        g_normalised = g * gamma_c
+        g_centred = g_normalised * inv_std
+        g_inv_std = _unbroadcast(g_normalised * centred, inv_std.shape)
+        x._accumulate(g_centred)
+        g_mean = -_unbroadcast(g_centred, mean.shape)
+        g_var = g_inv_std * -0.5 * shifted_var ** -1.5
+        # The composed graph broadcasts the variance gradient to a
+        # C-contiguous array before this product, which makes the
+        # product C-contiguous whatever ``centred``'s memory order.
+        g_centred = np.multiply(g_var / count * 2, centred,
+                                out=np.empty(x.shape, dtype))
+        x._accumulate(g_centred)
+        g_mean += -_unbroadcast(g_centred, mean.shape)
+        x._accumulate(np.broadcast_to(g_mean / count, x.shape))
+
+    return Tensor._make(out, (x, gamma, beta), backward)
 
 
 def dropout(x: Tensor, p: float, training: bool,

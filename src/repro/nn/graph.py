@@ -14,10 +14,11 @@ Three properties make it the reward-evaluation fast path:
   calls, so steady-state evaluation allocates nothing.
 * **Bit-exact by default.**  With ``fuse=False`` every node replays the
   eager op's exact numpy expression (same operands, same order, same
-  dtype, same memory layout where reductions could care) — im2col and
-  max pooling call the very kernels the eager ops use
+  dtype, same memory layout where reductions could care) — im2col, max
+  pooling and batch norm call the very kernels the eager ops use
   (:func:`~repro.nn.functional.im2col`,
-  :func:`~repro.nn.functional.max_pool2d_kernel`) — so executor logits
+  :func:`~repro.nn.functional.max_pool2d_kernel`,
+  :func:`~repro.nn.functional.batch_norm2d_kernel`) — so executor logits
   are bit-for-bit identical to ``model(x)``.  Like the eager ops, every
   node computes in its input's dtype: a float32 input runs float32 end
   to end, a float64 input float64.  With ``fuse=True`` BatchNorm folds
@@ -50,7 +51,8 @@ import time
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .functional import depthwise_windows, im2col, max_pool2d_kernel
+from .functional import (batch_norm2d_kernel, batch_norm2d_stats,
+                         depthwise_windows, im2col, max_pool2d_kernel)
 from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
                       GlobalAvgPool2d, Identity, Linear, MaxPool2d, Module,
                       ReLU, Sigmoid, Tanh, Upsample)
@@ -545,19 +547,12 @@ class GraphExecutor:
         return buf, buf
 
     def _run_bn(self, node: _Node, x: np.ndarray):
-        # Replays the eager eval-mode chain exactly: running statistics
-        # and ``eps`` are cast to the activation dtype, so the whole
-        # normalisation computes in ``x.dtype``.
         bn = node.module
-        column = lambda v: v.reshape(1, -1, 1, 1)
-        mean = column(bn.running_mean).astype(x.dtype)
-        inv_std = (column(bn.running_var).astype(x.dtype)
-                   + x.dtype.type(bn.eps)) ** -0.5
+        mean, inv_std = batch_norm2d_stats(bn.running_mean, bn.running_var,
+                                           bn.eps, x.dtype)
         buf, base = self._alloc_like(x, x.dtype)
-        np.subtract(x, mean, out=buf)
-        np.multiply(buf, inv_std, out=buf)
-        np.multiply(buf, column(bn.weight.data), out=buf)
-        np.add(buf, column(bn.bias.data), out=buf)
+        batch_norm2d_kernel(x, mean, inv_std, bn.weight.data, bn.bias.data,
+                            out=buf)
         return buf, base
 
     def _run_relu(self, node: _Node, x: np.ndarray):

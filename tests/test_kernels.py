@@ -1,16 +1,22 @@
-"""The shared im2col and maxpool kernels against their reference forms.
+"""The eager and shared kernels against their reference forms.
 
 ``functional.im2col`` (one ``np.take`` through a cached gather index)
 and ``functional.max_pool2d`` (an elementwise max over the window
-offsets) replaced ``sliding_window_view`` bodies.  The old bodies live
-on here as references only: patches must match them bit-for-bit — on
-the channels-last, non-contiguous activations the graph executor feeds
-in too — the pooled values must equal ``windows.max``, and the pooling
-gradient must equal the old ``argmax`` / ``np.add.at`` scatter,
-including ties and signed zeros.
+offsets) replaced ``sliding_window_view`` bodies; ``col2im`` (channels-
+last accumulation), the one-pass maxpool backward and the single-node
+``batch_norm2d`` replaced a transposed-view fold, a ``where=`` masked
+scatter and a chain of ``Tensor`` primitives.  The old bodies live on
+here as references only: patches, gradients, outputs and running
+statistics must match them bit-for-bit — on the channels-last,
+non-contiguous activations conv layers produce too — the pooled values
+must equal ``windows.max``, and the pooling gradient must equal the old
+``argmax`` / ``np.add.at`` scatter, including ties and signed zeros.
+Golden digests of short training runs pin the whole chain.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -18,7 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.nn import Tensor, check_gradients
+from repro import training
+from repro.data import make_cifar100_like
+from repro.models import build_model
+from repro.nn import Tensor, check_gradients, no_grad
 from repro.nn import functional as F
 
 
@@ -56,6 +65,67 @@ def reference_pool_grad(x, g, kernel, stride, padding):
     np.add.at(dx, (ni[valid], ci[valid], rows[valid], cols[valid]),
               g[valid])
     return dx
+
+
+def reference_col2im(cols, x_shape, kernel, stride, pad):
+    """The old fold: strided adds from a transposed NCHW view."""
+    n, c, h, w = x_shape
+    kh, kw = kernel
+    hp, wp = h + 2 * pad, w + 2 * pad
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    image = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            image[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[:, :, i, j]
+    if pad:
+        image = image[:, :, pad:hp - pad, pad:wp - pad]
+    return image
+
+
+def reference_max_pool2d(x, kernel, stride, padding):
+    """The old pooling node: a winner index map, then ``where=`` adds."""
+    out = F.max_pool2d_kernel(x.data, kernel, stride, padding)
+
+    def backward(g):
+        slices = F._pool_slices(x.data, kernel, stride, padding)
+        winner = np.empty(out.shape, dtype=np.intp)
+        for offset in range(len(slices) - 1, -1, -1):
+            np.copyto(winner, offset, where=slices[offset] == out)
+        n, c, h, w = x.shape
+        if padding:
+            dx = np.zeros((n, c, h + 2 * padding, w + 2 * padding),
+                          dtype=x.dtype)
+        else:
+            dx = np.zeros_like(x.data)
+        views = F._pool_slices(dx, kernel, stride, 0)
+        for offset in range(len(views) - 1, -1, -1):
+            np.add(views[offset], g, out=views[offset],
+                   where=winner == offset)
+        if padding:
+            dx = dx[:, :, padding:padding + h, padding:padding + w]
+        x._accumulate(dx)
+
+    return Tensor._make(out, (x,), backward)
+
+
+def reference_batch_norm2d(x, gamma, beta, running_mean, running_var,
+                           training, momentum=0.1, eps=1e-5):
+    """The old batch norm, composed from ``Tensor`` primitives."""
+    if training:
+        mean = x.mean(axis=(0, 2, 3), keepdims=True)
+        var = ((x - mean) ** 2).mean(axis=(0, 2, 3), keepdims=True)
+        running_mean *= (1.0 - momentum)
+        running_mean += momentum * mean.data.reshape(-1)
+        running_var *= (1.0 - momentum)
+        running_var += momentum * var.data.reshape(-1)
+    else:
+        mean = Tensor(running_mean.reshape(1, -1, 1, 1).astype(x.dtype))
+        var = Tensor(running_var.reshape(1, -1, 1, 1).astype(x.dtype))
+    inv_std = (var + eps) ** -0.5
+    normalised = (x - mean) * inv_std
+    return normalised * gamma.reshape(1, -1, 1, 1) + beta.reshape(1, -1, 1, 1)
 
 
 def _bits(a):
@@ -157,3 +227,270 @@ class TestMaxPool:
                    .reshape(2, 2, 5, 5) / 7.0, requires_grad=True)
         check_gradients(lambda x: F.max_pool2d(x, kernel, stride, padding),
                         [x])
+
+
+def _layout(a, layout):
+    """NCHW values ``a`` stored in NCHW or channels-last memory order."""
+    if layout == "channels_last":
+        # The layout a conv GEMM output has after its NCHW transpose.
+        return np.ascontiguousarray(a.transpose(0, 2, 3, 1)) \
+            .transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(a)
+
+
+_DTYPES = (np.float32, np.float64)
+_LAYOUTS = ("nchw", "channels_last")
+
+
+class TestCol2Im:
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("k,stride,pad,size", [
+        (1, 1, 0, 1), (3, 1, 1, 1), (1, 2, 0, 5), (3, 1, 1, 3),
+        (3, 2, 1, 5), (3, 2, 0, 6), (5, 1, 2, 4), (2, 2, 0, 4)])
+    def test_matches_transposed_view_fold_bitwise(self, dtype, k, stride,
+                                                  pad, size):
+        rng = np.random.default_rng(k * 100 + stride * 10 + size)
+        n, c, h, w = 2, 3, size, size + 1
+        oh = (h + 2 * pad - k) // stride + 1
+        ow = (w + 2 * pad - k) // stride + 1
+        cols = rng.standard_normal((n * oh * ow, c * k * k)).astype(dtype)
+        got = F.col2im(cols, (n, c, h, w), (k, k), stride, pad)
+        expected = reference_col2im(cols, (n, c, h, w), (k, k), stride, pad)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert _bits(got) == _bits(expected)
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("k,stride,pad", [(1, 1, 0), (3, 1, 1),
+                                              (3, 2, 1)])
+    def test_conv_input_gradient_matches(self, monkeypatch, layout, k,
+                                         stride, pad):
+        rng = np.random.default_rng(k + stride)
+        values = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
+        weight = rng.standard_normal((4, 3, k, k)).astype(np.float32)
+
+        def input_grad():
+            x = Tensor(_layout(values, layout), requires_grad=True)
+            out = F.conv2d(x, Tensor(weight), stride=stride, padding=pad)
+            # Twice, so the second fold lands in an existing gradient.
+            (out * out).sum().backward()
+            out = F.conv2d(x, Tensor(weight), stride=stride, padding=pad)
+            out.sum().backward()
+            return x.grad
+
+        got = input_grad()
+        monkeypatch.setattr(F, "col2im", reference_col2im)
+        expected = input_grad()
+        assert got.strides == expected.strides
+        assert _bits(got) == _bits(expected)
+
+
+class TestMaxPoolBackwardReference:
+    """The one-pass backward against the old ``where=`` scatter."""
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("kernel,stride,padding", _POOLS)
+    def test_relu_tied_input_bitwise(self, dtype, layout, kernel, stride,
+                                     padding):
+        rng = np.random.default_rng(kernel * 10 + stride + padding)
+        # Mostly non-positive values: after ReLU most windows tie at a
+        # mix of -0.0 (negative inputs) and +0.0 (zero inputs).
+        values = rng.choice(np.array([-2.0, -1.0, 0.0, 0.5, 1.0], dtype),
+                            size=(2, 3, 7, 6), p=[.3, .3, .2, .1, .1])
+        upstream = rng.standard_normal(2 * 3 * 7 * 6).astype(dtype)
+        upstream[::5] = -0.0
+
+        def grad(pool):
+            leaf = Tensor(_layout(values, layout), requires_grad=True)
+            out = pool(leaf.relu(), kernel, stride, padding)
+            out.backward(upstream[:out.size].reshape(out.shape))
+            return out.data, leaf.grad
+
+        out, got = grad(F.max_pool2d)
+        ref_out, expected = grad(reference_max_pool2d)
+        assert _bits(out) == _bits(ref_out)
+        assert got.strides == expected.strides
+        assert _bits(got) == _bits(expected)
+
+
+_BN_SHAPES = [(4, 3, 1, 1), (2, 5, 3, 3), (3, 4, 5, 4)]
+
+
+def _bn_run(bn, shape, dtype, layout, *, training, x_grad=True,
+            params_grad=True, second=None, seed=0):
+    """Everything one BN call produces: output, gradients, statistics.
+
+    ``second`` gives ``x`` a second consumer, whose backward runs
+    ``"before"`` or ``"after"`` the batch norm's in the engine's order.
+    """
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.5, 2.0, size=shape).astype(dtype)
+    c = shape[1]
+    leaf = Tensor(_layout(values, layout), requires_grad=x_grad)
+    # A non-leaf input, as a conv output is in a network.
+    x = leaf * Tensor(np.asarray(1.5, dtype)) if x_grad else leaf
+    gamma = Tensor(rng.uniform(0.5, 1.5, c).astype(dtype),
+                   requires_grad=params_grad)
+    beta = Tensor(rng.standard_normal(c).astype(dtype),
+                  requires_grad=params_grad)
+    running_mean = rng.standard_normal(c).astype(dtype)
+    running_var = rng.uniform(0.5, 2.0, c).astype(dtype)
+    out = bn(x, gamma, beta, running_mean, running_var, training=training)
+    g = _layout(rng.standard_normal(shape).astype(dtype), layout)
+    result = {"out": out.data, "out_strides": out.data.strides,
+              "running_mean": running_mean, "running_var": running_var}
+    if out.requires_grad:
+        root = out
+        if second is not None:
+            other = x * Tensor(rng.standard_normal(shape).astype(dtype))
+            root = other + out if second == "before" else out + other
+        root.backward(g)
+        for name, t in (("x", leaf), ("gamma", gamma), ("beta", beta)):
+            result[name] = t.grad
+    return result
+
+
+def _assert_same(got, expected):
+    assert got.keys() == expected.keys()
+    for key, value in expected.items():
+        if key == "out_strides":
+            assert got[key] == value
+        elif value is None:
+            assert got[key] is None, key
+        else:
+            assert got[key].dtype == value.dtype, key
+            assert _bits(got[key]) == _bits(value), key
+
+
+class TestBatchNormReference:
+    """The one-node batch norm against the composed ``Tensor`` chain."""
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("shape", _BN_SHAPES)
+    @pytest.mark.parametrize("training", (True, False))
+    def test_forward_backward_bitwise(self, dtype, layout, shape, training):
+        kwargs = dict(training=training, seed=sum(shape))
+        _assert_same(_bn_run(F.batch_norm2d, shape, dtype, layout, **kwargs),
+                     _bn_run(reference_batch_norm2d, shape, dtype, layout,
+                             **kwargs))
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("second", ("before", "after"))
+    @pytest.mark.parametrize("training", (True, False))
+    def test_input_with_a_second_consumer(self, layout, second, training):
+        kwargs = dict(training=training, second=second, seed=7)
+        for shape in _BN_SHAPES:
+            _assert_same(
+                _bn_run(F.batch_norm2d, shape, np.float32, layout, **kwargs),
+                _bn_run(reference_batch_norm2d, shape, np.float32, layout,
+                        **kwargs))
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("training", (True, False))
+    @pytest.mark.parametrize("x_grad,params_grad", [(False, True),
+                                                    (True, False),
+                                                    (False, False)])
+    def test_partial_requires_grad(self, layout, training, x_grad,
+                                   params_grad):
+        kwargs = dict(training=training, x_grad=x_grad,
+                      params_grad=params_grad, seed=11)
+        for shape in _BN_SHAPES:
+            _assert_same(
+                _bn_run(F.batch_norm2d, shape, np.float32, layout, **kwargs),
+                _bn_run(reference_batch_norm2d, shape, np.float32, layout,
+                        **kwargs))
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("training", (True, False))
+    def test_under_no_grad(self, layout, training):
+        for shape in _BN_SHAPES:
+            with no_grad():
+                got = _bn_run(F.batch_norm2d, shape, np.float32, layout,
+                              training=training, seed=5)
+                expected = _bn_run(reference_batch_norm2d, shape,
+                                   np.float32, layout, training=training,
+                                   seed=5)
+            _assert_same(got, expected)
+
+    def test_one_autograd_node(self):
+        x = Tensor(np.ones((2, 3, 2, 2), np.float32), requires_grad=True)
+        gamma = Tensor(np.ones(3, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(3, np.float32), requires_grad=True)
+        for training in (True, False):
+            out = F.batch_norm2d(x, gamma, beta, np.zeros(3, np.float32),
+                                 np.ones(3, np.float32), training=training)
+            assert out._parents == (x, gamma, beta)
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_kernel_out_buffer_matches_eager_eval(self, layout):
+        rng = np.random.default_rng(4)
+        x = _layout(rng.standard_normal((2, 3, 4, 4)).astype(np.float32),
+                    layout)
+        gamma = rng.standard_normal(3).astype(np.float32)
+        beta = rng.standard_normal(3).astype(np.float32)
+        rm = rng.standard_normal(3).astype(np.float32)
+        rv = rng.uniform(0.5, 2.0, 3).astype(np.float32)
+        eager = F.batch_norm2d(Tensor(x), Tensor(gamma), Tensor(beta), rm,
+                               rv, training=False).data
+        mean, inv_std = F.batch_norm2d_stats(rm, rv, 1e-5, x.dtype)
+        buf = np.full(x.shape, np.nan, np.float32)
+        assert F.batch_norm2d_kernel(x, mean, inv_std, gamma, beta,
+                                     out=buf) is buf
+        assert eager.strides == x.strides
+        assert _bits(buf) == _bits(eager)
+
+
+#: SHA-256 of ``state_dict()`` after one epoch of ``training.fit`` (seed
+#: 0), computed with the composed batch norm, the NCHW ``col2im`` and the
+#: ``where=`` maxpool backward: training stays bit-identical.
+_GOLDEN_STATES = {
+    ("resnet20", 0.5, 12):
+        "c3bfd8e9e1e30c6177047ccc5f7958edd26fcd4857e5752fad8287bbd0a23904",
+    ("googlenet", 0.5, 8):
+        "d0c8a2e5857093450c5e791843e72f0e62c5df896b046183159a64f53dd5a05f",
+    ("vgg11", 0.25, 16):
+        "3425213bf2f2bd29f015e084797c621391d71bc2b0b7c911d4ae111961744af8",
+}
+#: SHA-256 of a few float32 GEMM results on the BLAS build the golden
+#: states were computed with; another build may round GEMMs differently.
+_GOLDEN_GEMMS = \
+    "a0920792848e8dcd970dd05f86440a1b7b27a67acf37ea430afacbdd2e7c4a00"
+
+
+def _gemm_digest():
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    for m, k, n in ((144, 27, 8), (576, 72, 16), (64, 144, 32),
+                    (16, 288, 10)):
+        a = rng.standard_normal((m, k)).astype(np.float32)
+        b = rng.standard_normal((n, k)).astype(np.float32)
+        c = rng.standard_normal((m, n)).astype(np.float32)
+        for product in (a @ b.T, c.T @ a, c @ b):
+            digest.update(product.tobytes())
+    return digest.hexdigest()
+
+
+def _state_digest(model):
+    digest = hashlib.sha256()
+    for key, value in sorted(model.state_dict().items()):
+        value = np.ascontiguousarray(value)
+        digest.update(f"{key}:{value.dtype}:{value.shape}".encode())
+        digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name,width,size", sorted(_GOLDEN_STATES))
+def test_training_matches_golden_state_digest(name, width, size):
+    if _gemm_digest() != _GOLDEN_GEMMS:
+        pytest.skip("this BLAS build rounds float32 GEMMs differently "
+                    "from the one the golden digests were computed with")
+    task = make_cifar100_like(num_classes=4, image_size=size,
+                              train_per_class=16, test_per_class=2,
+                              noise=0.5, seed=0)
+    model = build_model(name, num_classes=4, input_size=size,
+                        width_multiplier=width,
+                        rng=np.random.default_rng(0))
+    training.fit(model, task.train, None, training.TrainConfig(
+        epochs=1, batch_size=16, lr=0.05, seed=0))
+    assert _state_digest(model) == _GOLDEN_STATES[(name, width, size)]
