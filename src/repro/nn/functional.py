@@ -1,11 +1,13 @@
 """Neural-network operators built on the autograd engine.
 
-Convolution, pooling and batch normalisation are single autograd nodes
-with hand-written backward rules (im2col / col2im; batch norm replays
-the arithmetic of its composed form, so its gradients are bit-identical
-to it) for speed; softmax and losses are composed from
-:class:`~repro.nn.tensor.Tensor` primitives so their gradients come
-straight from the engine.
+Convolution, linear, pooling and batch normalisation are single autograd
+nodes with hand-written backward rules (im2col / col2im; linear and
+batch norm replay the arithmetic of their composed forms, so their
+gradients are bit-identical to them) for speed; softmax and losses are
+composed from :class:`~repro.nn.tensor.Tensor` primitives so their
+gradients come straight from the engine.
+The ``*_kernel`` functions, :func:`im2col` and :func:`gemm_epilogue`
+are the forward kernels :mod:`repro.nn.graph` calls too.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .tensor import Tensor, _unbroadcast, as_tensor
 
 __all__ = [
-    "im2col", "col2im", "conv2d", "conv2d_depthwise", "depthwise_windows",
-    "linear", "max_pool2d", "max_pool2d_kernel", "avg_pool2d",
-    "global_avg_pool2d", "upsample_nearest", "batch_norm2d",
-    "batch_norm2d_stats", "batch_norm2d_kernel", "dropout",
-    "log_softmax",
-    "softmax", "cross_entropy", "nll_loss", "mse_loss",
+    "im2col", "col2im", "gemm_epilogue", "conv2d", "conv2d_depthwise",
+    "depthwise_windows", "conv2d_depthwise_kernel", "linear", "max_pool2d",
+    "max_pool2d_kernel", "avg_pool2d", "global_avg_pool2d",
+    "upsample_nearest", "batch_norm2d", "batch_norm2d_stats",
+    "batch_norm2d_kernel", "dropout", "log_softmax", "softmax",
+    "cross_entropy", "nll_loss", "mse_loss",
 ]
 
 
@@ -114,6 +116,24 @@ def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int],
 # ----------------------------------------------------------------------
 # Convolution / linear
 # ----------------------------------------------------------------------
+def gemm_epilogue(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None,
+                  relu: bool = False, out: np.ndarray | None = None
+                  ) -> np.ndarray:
+    """``a @ b``, then ``+ bias``, then an optional ReLU, in ``out``.
+
+    The one GEMM of :func:`conv2d` (patches times ``weight.T``) and
+    :func:`linear`, and of the graph executor's conv and linear nodes
+    (arena ``out=``; BN may be folded into ``b`` and ``bias``, a ReLU
+    fused in).
+    """
+    out = np.matmul(a, b, out=out)
+    if bias is not None:
+        np.add(out, bias, out=out)
+    if relu:
+        np.maximum(out, 0, out=out)
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation) over NCHW input.
@@ -131,9 +151,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     cols = im2col(x.data, (kh, kw), stride, padding)
     w_mat = weight.data.reshape(f, -1)
-    out = cols @ w_mat.T
-    if bias is not None:
-        out = out + bias.data
+    out = gemm_epilogue(cols, w_mat.T, None if bias is None else bias.data)
     out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -153,16 +171,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 def depthwise_windows(x: np.ndarray, kernel: int, stride: int,
                       pad: int) -> np.ndarray:
-    """Sliding ``(N, C, oh, ow, kh, kw)`` windows of a zero-padded input.
-
-    Shared by the eager depthwise forward and the graph executor's
-    depthwise kernel so both reduce over the same elements in the same
-    order (their outputs are asserted bit-for-bit identical).
-    """
+    """Sliding ``(N, C, oh, ow, kh, kw)`` windows of a zero-padded input."""
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     return sliding_window_view(x, (kernel, kernel),
                                axis=(2, 3))[:, :, ::stride, ::stride]
+
+
+def conv2d_depthwise_kernel(windows: np.ndarray, weight: np.ndarray,
+                            bias: np.ndarray | None = None,
+                            relu: bool = False) -> np.ndarray:
+    """:func:`depthwise_windows` against ``(C, 1, k, k)`` filters.
+
+    Then ``+ bias`` and an optional ReLU.  Shared by
+    :func:`conv2d_depthwise` and the graph executor's depthwise conv.
+    """
+    out = np.einsum("nchwij,cij->nchw", windows, weight[:, 0])
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
+    if relu:
+        np.maximum(out, 0, out=out)
+    return out
 
 
 def conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -183,9 +212,8 @@ def conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"depthwise conv2d needs weight shape ({c}, 1, k, k); "
             f"got {tuple(weight.shape)}")
     windows = depthwise_windows(x.data, kh, stride, padding)
-    out = np.einsum("nchwij,cij->nchw", windows, weight.data[:, 0])
-    if bias is not None:
-        out = out + bias.data.reshape(1, -1, 1, 1)
+    out = conv2d_depthwise_kernel(windows, weight.data,
+                                  None if bias is None else bias.data)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
@@ -212,11 +240,27 @@ def conv2d_depthwise(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight.T + bias`` with weight shape (out, in)."""
-    out = x @ weight.T
-    if bias is not None:
-        out = out + bias
-    return out
+    """Affine map ``x @ weight.T + bias`` with weight shape (out, in).
+
+    One autograd node with the composed form's gradients, bit for bit:
+    the same products and reductions, and ``weight`` gets the transpose
+    of ``x.T @ g``, in the composed form's memory order.
+    """
+    x, weight = as_tensor(x), as_tensor(weight)
+    out = gemm_epilogue(x.data, weight.data.T,
+                        None if bias is None else bias.data)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g: np.ndarray) -> None:
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        if x.requires_grad:
+            x._accumulate(_unbroadcast(g @ weight.data, x.shape))
+        if weight.requires_grad:
+            g_t = np.swapaxes(x.data, -1, -2) @ g
+            weight._accumulate(_unbroadcast(g_t, weight.shape[::-1]).T)
+
+    return Tensor._make(out, parents, backward)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Static-graph inference executor for the ``repro.nn`` substrate.
 
 :func:`compile` traces a :class:`~repro.nn.modules.Module` tree once —
-by patching the leaf layer classes and the two tensor methods model
-forwards use directly (``+`` and ``.relu()``) — into a flat,
+by patching the leaf layers the registry models are built from
+(``Conv2d``, ``Linear``, ``BatchNorm2d``, ``ReLU``, ``MaxPool2d``,
+``GlobalAvgPool2d``, ``Flatten``; ``Dropout`` and ``Identity`` are
+eval-mode no-ops) and the tensor ops model forwards use directly
+(``+``, ``.relu()``, channel ``Tensor.cat``) — into a flat,
 topologically ordered op list, then returns a :class:`GraphExecutor`
-that replays it without any Python module dispatch.
+that replays it without any Python module dispatch.  Any other layer or
+op raises :class:`GraphTraceError`; callers fall back to eager.
 
 Three properties make it the reward-evaluation fast path:
 
@@ -12,21 +16,19 @@ Three properties make it the reward-evaluation fast path:
   activations) lives in a shape-keyed :class:`_Arena`; buffers are
   recycled the moment their last consumer has run and persist across
   calls, so steady-state evaluation allocates nothing.
-* **Bit-exact by default.**  With ``fuse=False`` every node replays the
-  eager op's exact numpy expression (same operands, same order, same
-  dtype, same memory layout where reductions could care) — im2col, max
-  pooling and batch norm call the very kernels the eager ops use
-  (:func:`~repro.nn.functional.im2col`,
-  :func:`~repro.nn.functional.max_pool2d_kernel`,
-  :func:`~repro.nn.functional.batch_norm2d_kernel`) — so executor logits
-  are bit-for-bit identical to ``model(x)``.  Like the eager ops, every
-  node computes in its input's dtype: a float32 input runs float32 end
-  to end, a float64 input float64.  With ``fuse=True`` BatchNorm folds
-  into the preceding convolution's weights (the fold is computed once
-  in float64, then cast to the activation dtype for the GEMM) and a
+* **Bit-exact by default.**  Conv, linear, max pooling and batch norm
+  nodes call the eager ops' own kernels in ``repro.nn.functional``
+  (``im2col`` + ``gemm_epilogue``, ``conv2d_depthwise_kernel``,
+  ``max_pool2d_kernel``, ``batch_norm2d_kernel``) with arena ``out=``
+  buffers; the other nodes replay the eager numpy expression (same
+  operands, order, dtype and memory layout) — so with ``fuse=False``
+  executor logits are bit-for-bit identical to ``model(x)``.  Every
+  node computes in its input's dtype.  With ``fuse=True`` BatchNorm
+  folds into the preceding dense convolution's weights (the fold is
+  computed once in float64, then cast to the activation dtype) and a
   trailing ReLU joins the conv / linear epilogue — approximate: within
-  ~1e-8 of the eager forward on float64 inputs, one float32 rounding
-  of the folded weights on float32 inputs.
+  ~1e-8 of the eager forward on float64 inputs, one float32 rounding of
+  the folded weights on float32 inputs.
 * **Mask-aware splitting.**  :meth:`GraphExecutor.set_mask_unit` splits
   the op list at a prunable unit's output.  All candidate masks share
   the prefix (cached per calibration slice), each mask re-runs only the
@@ -49,13 +51,12 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .functional import (batch_norm2d_kernel, batch_norm2d_stats,
-                         depthwise_windows, im2col, max_pool2d_kernel)
-from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
-                      GlobalAvgPool2d, Identity, Linear, MaxPool2d, Module,
-                      ReLU, Sigmoid, Tanh, Upsample)
+from .functional import (_out_size, batch_norm2d_kernel, batch_norm2d_stats,
+                         conv2d_depthwise_kernel, depthwise_windows,
+                         gemm_epilogue, im2col, max_pool2d_kernel)
+from .modules import (BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool2d,
+                      Identity, Linear, MaxPool2d, Module, ReLU)
 from .tensor import Tensor, no_grad
 
 __all__ = ["compile", "GraphExecutor", "GraphTraceError"]
@@ -139,12 +140,11 @@ class _Node:
 
 #: Leaf module classes the tracer hooks; anything else (containers,
 #: blocks, whole models) runs its Python forward normally and is traced
-#: through the leaves it calls.
+#: through the leaves it calls.  Other layers are not traceable.
 _LEAF_KINDS: dict[type, str] = {
     Conv2d: "conv", Linear: "linear", BatchNorm2d: "bn", ReLU: "relu",
-    Sigmoid: "sigmoid", Tanh: "tanh", MaxPool2d: "maxpool",
-    AvgPool2d: "avgpool", GlobalAvgPool2d: "gap", Upsample: "upsample",
-    Flatten: "flatten", Dropout: "dropout", Identity: "identity",
+    MaxPool2d: "maxpool", GlobalAvgPool2d: "gap", Flatten: "flatten",
+    Dropout: "dropout", Identity: "identity",
 }
 
 #: The active tracer (at most one; class-level hooks are global).
@@ -348,11 +348,10 @@ def _fuse(nodes: list[_Node], input_vid: int, output_vid: int,
         j = producer.get(vin)
         if j is None or nodes[j].kind != "conv" or j in removed:
             continue
-        if getattr(nodes[j].module, "groups", 1) != 1:
-            # The im2col fold below assumes a dense filter bank; a
-            # depthwise conv's BN stays a separate node.
-            continue
-        if consumers.get(vin, []) != [i] or vin == output_vid:
+        # The fold assumes a dense filter bank; a depthwise conv's BN
+        # stays a separate node.
+        if nodes[j].module.groups != 1 or consumers.get(vin, []) != [i] \
+                or vin == output_vid:
             continue
         _fold_bn_into_conv(nodes[j], node.module)
         alias[node.out] = nodes[j].out
@@ -390,14 +389,6 @@ def _fuse(nodes: list[_Node], input_vid: int, output_vid: int,
 # ----------------------------------------------------------------------
 # Executor
 # ----------------------------------------------------------------------
-def _conv_geometry(conv: Conv2d, x: np.ndarray) -> tuple:
-    n, c, h, w = x.shape
-    k, s, p = conv.kernel_size, conv.stride, conv.padding
-    oh = (h + 2 * p - k) // s + 1
-    ow = (w + 2 * p - k) // s + 1
-    return n, c, h, w, k, s, p, oh, ow
-
-
 class GraphExecutor:
     """Replays a traced op list with arena-backed buffers.
 
@@ -481,69 +472,43 @@ class GraphExecutor:
         return base.transpose(np.argsort(order)), base
 
     def _run_conv(self, node: _Node, x: np.ndarray):
+        # The eager conv kernels: im2col + gemm_epilogue for dense convs
+        # (a BN fold only swaps in the folded weight.T and bias, cast to
+        # the activation dtype), conv2d_depthwise_kernel for depthwise
+        # ones, which BN never folds into (see _fuse).  A fused ReLU
+        # (fuse=True only; approximate mode) runs in the epilogue.
         conv = node.module
-        if getattr(conv, "groups", 1) != 1:
-            return self._run_conv_depthwise(node, x)
+        k, s, p = conv.kernel_size, conv.stride, conv.padding
+        bias = None if conv.bias is None else conv.bias.data
+        if conv.groups != 1:
+            out = conv2d_depthwise_kernel(depthwise_windows(x, k, s, p),
+                                          conv.weight.data, bias,
+                                          node.fused_relu)
+            return out, out
+        if node.fused_weight is not None:
+            weight_t, bias = node.fused_cast(x.dtype)
+        else:
+            weight_t = conv.weight.data.reshape(len(conv.weight.data), -1).T
         arena = self._arena
-        n, c, h, w, k, s, p, oh, ow = _conv_geometry(conv, x)
+        n, c, h, w = x.shape
+        oh, ow = _out_size(h, k, s, p), _out_size(w, k, s, p)
         cols = im2col(x, (k, k), s, p,
                       out=arena.get((n * oh * ow, c * k * k), x.dtype))
-        if node.fused_weight is not None:
-            return self._conv_epilogue_fused(node, cols, n, oh, ow)
-        w_mat = conv.weight.data.reshape(conv.weight.data.shape[0], -1)
-        f = w_mat.shape[0]
-        gemm = arena.get((n * oh * ow, f), np.result_type(cols, w_mat))
-        np.matmul(cols, w_mat.T, out=gemm)
+        gemm = gemm_epilogue(
+            cols, weight_t, bias, node.fused_relu,
+            out=arena.get((len(cols), weight_t.shape[1]),
+                          np.result_type(cols, weight_t)))
         arena.put(cols)
-        if conv.bias is not None:
-            np.add(gemm, conv.bias.data, out=gemm)
-        if node.fused_relu:          # fuse=True only; approximate mode
-            np.maximum(gemm, 0, out=gemm)
-        out = gemm.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-        return out, gemm
-
-    def _conv_epilogue_fused(self, node: _Node, cols: np.ndarray,
-                             n: int, oh: int, ow: int):
-        # The GEMM runs in the activation dtype, like the unfused conv
-        # and BN it replaces; the float64 fold is cast once per dtype.
-        arena = self._arena
-        weight_t, bias = node.fused_cast(cols.dtype)
-        f = weight_t.shape[1]
-        acc = arena.get((n * oh * ow, f), cols.dtype)
-        np.matmul(cols, weight_t, out=acc)
-        arena.put(cols)
-        acc += bias
-        if node.fused_relu:
-            np.maximum(acc, 0.0, out=acc)
-        out = acc.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
-        return out, acc
-
-    def _run_conv_depthwise(self, node: _Node, x: np.ndarray):
-        # Same windows helper and einsum as the eager
-        # :func:`repro.nn.functional.conv2d_depthwise`, so the reduction
-        # visits the same elements in the same order (bit-exact).  BN is
-        # never folded into a depthwise conv (see :func:`_fuse`).
-        conv = node.module
-        windows = depthwise_windows(x, conv.kernel_size, conv.stride,
-                                    conv.padding)
-        out = np.einsum("nchwij,cij->nchw", windows,
-                        conv.weight.data[:, 0])
-        if conv.bias is not None:
-            out = out + conv.bias.data.reshape(1, -1, 1, 1)
-        if node.fused_relu:          # fuse=True only; approximate mode
-            np.maximum(out, 0, out=out)
-        return out, out
+        return gemm.reshape(n, oh, ow, -1).transpose(0, 3, 1, 2), gemm
 
     def _run_linear(self, node: _Node, x: np.ndarray):
         layer = node.module
-        w = layer.weight.data
-        buf = self._arena.get((x.shape[0], w.shape[0]),
-                              np.result_type(x, w))
-        np.matmul(x, w.T, out=buf)
-        if layer.bias is not None:
-            np.add(buf, layer.bias.data, out=buf)
-        if node.fused_relu:
-            np.maximum(buf, 0, out=buf)
+        weight_t = layer.weight.data.T
+        buf = self._arena.get((len(x), weight_t.shape[1]),
+                              np.result_type(x, weight_t))
+        gemm_epilogue(x, weight_t,
+                      None if layer.bias is None else layer.bias.data,
+                      node.fused_relu, out=buf)
         return buf, buf
 
     def _run_bn(self, node: _Node, x: np.ndarray):
@@ -564,37 +529,13 @@ class GraphExecutor:
         arena.put(mask)
         return buf, base
 
-    def _run_sigmoid(self, node: _Node, x: np.ndarray):
-        out = np.where(x >= 0,
-                       1.0 / (1.0 + np.exp(-np.clip(x, 0, None))),
-                       np.exp(np.clip(x, None, 0))
-                       / (1.0 + np.exp(np.clip(x, None, 0))))
-        return out, out
-
-    def _run_tanh(self, node: _Node, x: np.ndarray):
-        out = np.tanh(x)
-        return out, out
-
     def _run_maxpool(self, node: _Node, x: np.ndarray):
         pool = node.module
-        k, s = pool.kernel_size, pool.stride
-        p = getattr(pool, "padding", 0)
+        k, s, p = pool.kernel_size, pool.stride, pool.padding
         n, c, h, w = x.shape
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
-        buf = self._arena.get((n, c, oh, ow), x.dtype)
+        buf = self._arena.get((n, c, _out_size(h, k, s, p),
+                               _out_size(w, k, s, p)), x.dtype)
         max_pool2d_kernel(x, k, s, p, out=buf)
-        return buf, buf
-
-    def _run_avgpool(self, node: _Node, x: np.ndarray):
-        pool = node.module
-        k, s = pool.kernel_size, pool.stride
-        n, c, h, w = x.shape
-        oh = (h - k) // s + 1
-        ow = (w - k) // s + 1
-        windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        buf = self._arena.get((n, c, oh, ow), x.dtype)
-        np.mean(windows, axis=(-2, -1), out=buf)
         return buf, buf
 
     def _run_gap(self, node: _Node, x: np.ndarray):
@@ -605,11 +546,6 @@ class GraphExecutor:
         # Eager ``mean`` divides by the count cast to the input dtype.
         np.divide(total, x.dtype.type(h * w), out=total)
         return total, total
-
-    def _run_upsample(self, node: _Node, x: np.ndarray):
-        out = np.repeat(np.repeat(x, node.module.scale, axis=2),
-                        node.module.scale, axis=3)
-        return out, out
 
     def _run_flatten(self, node: _Node, x: np.ndarray):
         out = x.reshape(x.shape[0], -1)
@@ -640,10 +576,8 @@ class GraphExecutor:
 
     _KERNELS = {
         "conv": _run_conv, "linear": _run_linear, "bn": _run_bn,
-        "relu": _run_relu, "sigmoid": _run_sigmoid, "tanh": _run_tanh,
-        "maxpool": _run_maxpool, "avgpool": _run_avgpool, "gap": _run_gap,
-        "upsample": _run_upsample, "flatten": _run_flatten,
-        "add": _run_add, "cat": _run_cat,
+        "relu": _run_relu, "maxpool": _run_maxpool, "gap": _run_gap,
+        "flatten": _run_flatten, "add": _run_add, "cat": _run_cat,
     }
 
     _PROFILED = {"conv": "Conv2d", "linear": "Linear", "bn": "BatchNorm2d"}

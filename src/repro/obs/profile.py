@@ -114,10 +114,8 @@ class ModuleProfiler:
     the batch) and ``bytes`` (input + output activations + parameters at
     FP32, the ``repro.gpusim`` roofline convention).  ``phase=
     "backward"`` events carry ``dur`` only, one per autograd closure the
-    module's forward created: ``Conv2d`` and ``BatchNorm2d`` build one
-    node, so one backward event per forward; ``Linear`` composes two or
-    three primitives (transpose, matmul, bias add) and reports one event
-    each (totals still add up).
+    module's forward created: ``Conv2d``, ``Linear`` and ``BatchNorm2d``
+    each build one node, so one backward event per forward.
     """
 
     def __init__(self):

@@ -11,6 +11,10 @@ The graph executor's whole contract is *it changes nothing but speed*:
   ``channel_mask`` forward bitwise, surgered (physically pruned) models
   retrace and still match, and mask-batch scoring equals the per-mask
   loop;
+* a conv with a bias and a ReLU fused into its epilogue (the policy
+  net: no BN after its convs) matches eager too;
+* layers and tensor ops the tracer does not record raise
+  ``GraphTraceError``, and the agent then scores on the eager path;
 * ``EvalOptions`` is the only spelling of the eval knobs: the removed
   flat config fields and CLI aliases are rejected, and resume digests
   ignore the whole block.
@@ -24,10 +28,13 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cli import _eval_options, build_parser
-from repro.core import EvalOptions, HeadStartConfig
+from repro.core import EvalOptions, HeadStartConfig, LayerAgent
+from repro.core.policy import HeadStartNetwork
 from repro.models import available_models, build_model
-from repro.nn import Tensor, no_grad
+from repro.nn import (AvgPool2d, Conv2d, Flatten, Linear, Module, Sequential,
+                      Sigmoid, Tensor, no_grad)
 from repro.nn.graph import GraphTraceError
 from repro.nn.graph import compile as graph_compile
 from repro.pruning.surgery import channel_mask, prune_unit
@@ -91,6 +98,91 @@ class TestRegistryEquivalence:
             reference = _eager(model, images)
         got = executor.masked_logits(images, [mask])[0]
         assert np.array_equal(got, reference)
+
+
+class TestConvWithoutBatchNorm:
+    """The policy net: biased convs with no BN, each followed by a ReLU."""
+
+    @pytest.fixture
+    def policy_case(self):
+        # The body: the net's sigmoid head is not a traced op.
+        rng = np.random.default_rng(5)
+        body = HeadStartNetwork(6, rng=rng).body
+        noise = rng.standard_normal((3, 1, 8, 8))      # float64
+        return body, noise
+
+    def test_unfused_is_bitwise_identical(self, policy_case):
+        body, noise = policy_case
+        executor = graph_compile(body, Tensor(noise[:1]), fuse=False)
+        assert np.array_equal(executor.run(noise), _eager(body, noise))
+
+    def test_fused_relu_epilogue_within_1e8(self, policy_case):
+        body, noise = policy_case
+        executor = graph_compile(body, Tensor(noise[:1]), fuse=True)
+        assert [node.kind for node in executor.nodes] == \
+            ["conv", "conv", "conv", "flatten", "linear"]
+        assert all(node.fused_relu and node.fused_weight is None
+                   for node in executor.nodes if node.kind == "conv")
+        reference = _eager(body, noise)
+        drift = np.max(np.abs(executor.run(noise) - reference))
+        assert drift <= 1e-8 * max(1.0, float(np.max(np.abs(reference))))
+
+
+class _ScaledFeatures(Module):
+    """A conv whose output passes through an untraced ``* 2``."""
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(0)
+        self.conv = Conv2d(3, 4, 3, padding=1, rng=rng)
+        self.head = Sequential(Flatten(), Linear(4 * 12 * 12, 5, rng=rng))
+
+    def forward(self, x):
+        return self.head(self.conv(x) * 2)
+
+
+def _lenet_with(attr, layer):
+    model = build_model("lenet", rng=np.random.default_rng(1), **_GEOMETRY)
+    setattr(model, attr, layer)
+    return model
+
+
+class TestGraphFallback:
+    """What the tracer does not record falls back to eager evaluation."""
+
+    @pytest.mark.parametrize("attr,layer", [("relu", Sigmoid()),
+                                            ("pool", AvgPool2d(2))],
+                             ids=["sigmoid", "avgpool"])
+    def test_untraced_layer_raises(self, attr, layer):
+        model = _lenet_with(attr, layer)
+        images = np.zeros((2, 3, 12, 12), np.float32)
+        with pytest.raises(GraphTraceError, match="did not see"):
+            graph_compile(model, Tensor(images[:1]))
+        assert _eager(model, images).shape == (2, 5)
+
+    def test_untraced_tensor_op_raises(self):
+        with pytest.raises(GraphTraceError, match="did not see"):
+            graph_compile(_ScaledFeatures(),
+                          Tensor(np.zeros((1, 3, 12, 12), np.float32)))
+
+    def test_agent_falls_back_to_the_eager_mask(self, lenet_copy,
+                                                calibration):
+        lenet_copy.pool = AvgPool2d(2)
+        unit = lenet_copy.prune_units()[0]
+        config = HeadStartConfig(speedup=2.0, max_iterations=6,
+                                 min_iterations=3, patience=3,
+                                 eval_batch=32, seed=0, mc_samples=2)
+        eager = LayerAgent(lenet_copy, unit, *calibration, config).run()
+        rec = obs.Recorder()
+        with obs.use_recorder(rec):
+            graph = LayerAgent(lenet_copy, unit, *calibration,
+                               dataclasses.replace(
+                                   config, eval=EvalOptions(graph=True))
+                               ).run()
+        assert rec.counters.get("graph/fallbacks") == 1
+        assert "graph/compiled" not in rec.counters
+        assert np.array_equal(graph.keep_mask, eager.keep_mask)
+        assert graph.reward_history == eager.reward_history
 
 
 #: Depth-diverse subset for the heavier masked/surgered scenarios —

@@ -4,10 +4,11 @@
 and ``functional.max_pool2d`` (an elementwise max over the window
 offsets) replaced ``sliding_window_view`` bodies; ``col2im`` (channels-
 last accumulation), the one-pass maxpool backward and the single-node
-``batch_norm2d`` replaced a transposed-view fold, a ``where=`` masked
-scatter and a chain of ``Tensor`` primitives.  The old bodies live on
-here as references only: patches, gradients, outputs and running
-statistics must match them bit-for-bit — on the channels-last,
+``batch_norm2d`` and ``linear`` replaced a transposed-view fold, a
+``where=`` masked scatter and chains of ``Tensor`` primitives.  The old
+bodies live on here as references only: patches, gradients, outputs
+and running statistics must match them bit-for-bit, strides included —
+on the channels-last,
 non-contiguous activations conv layers produce too — the pooled values
 must equal ``windows.max``, and the pooling gradient must equal the old
 ``argmax`` / ``np.add.at`` scatter, including ties and signed zeros.
@@ -337,8 +338,8 @@ def _bn_run(bn, shape, dtype, layout, *, training, x_grad=True,
     running_var = rng.uniform(0.5, 2.0, c).astype(dtype)
     out = bn(x, gamma, beta, running_mean, running_var, training=training)
     g = _layout(rng.standard_normal(shape).astype(dtype), layout)
-    result = {"out": out.data, "out_strides": out.data.strides,
-              "running_mean": running_mean, "running_var": running_var}
+    result = {"out": out.data, "running_mean": running_mean,
+              "running_var": running_var}
     if out.requires_grad:
         root = out
         if second is not None:
@@ -353,12 +354,11 @@ def _bn_run(bn, shape, dtype, layout, *, training, x_grad=True,
 def _assert_same(got, expected):
     assert got.keys() == expected.keys()
     for key, value in expected.items():
-        if key == "out_strides":
-            assert got[key] == value
-        elif value is None:
+        if value is None:
             assert got[key] is None, key
         else:
             assert got[key].dtype == value.dtype, key
+            assert got[key].strides == value.strides, key
             assert _bits(got[key]) == _bits(value), key
 
 
@@ -438,6 +438,98 @@ class TestBatchNormReference:
         assert F.batch_norm2d_kernel(x, mean, inv_std, gamma, beta,
                                      out=buf) is buf
         assert eager.strides == x.strides
+        assert _bits(buf) == _bits(eager)
+
+
+def reference_linear(x, weight, bias=None):
+    """The old linear, composed from ``Tensor`` primitives."""
+    out = x @ weight.T
+    return out if bias is None else out + bias
+
+
+#: (batch, in_features, out_features)
+_LINEAR_SHAPES = [(1, 4, 2), (5, 7, 3), (16, 32, 10)]
+
+
+def _linear_run(linear, shape, dtype, layout, *, bias=True, x_grad=True,
+                params_grad=True, seed=0):
+    """Output and gradients of one linear call, keyed by name.
+
+    ``layout="f"`` stores the input and the upstream gradient
+    column-major, so strides that follow an operand's memory order show.
+    """
+    rng = np.random.default_rng(seed)
+    n, fan_in, fan_out = shape
+    order = "F" if layout == "f" else "C"
+    x = Tensor(np.asarray(rng.standard_normal((n, fan_in)), dtype,
+                          order=order), requires_grad=x_grad)
+    weight = Tensor(rng.standard_normal((fan_out, fan_in)).astype(dtype),
+                    requires_grad=params_grad)
+    b = Tensor(rng.standard_normal(fan_out).astype(dtype),
+               requires_grad=params_grad) if bias else None
+    out = linear(x, weight, b)
+    result = {"out": out.data}
+    if out.requires_grad:
+        out.backward(np.asarray(rng.standard_normal(out.shape), dtype,
+                                order=order))
+        for name, t in (("x", x), ("weight", weight), ("bias", b)):
+            if t is not None:
+                result[name] = t.grad
+    return result
+
+
+class TestLinearReference:
+    """The one-node linear against the composed ``x @ weight.T + bias``."""
+
+    @pytest.mark.parametrize("dtype", _DTYPES)
+    @pytest.mark.parametrize("layout", ("c", "f"))
+    @pytest.mark.parametrize("shape", _LINEAR_SHAPES)
+    @pytest.mark.parametrize("bias", (True, False))
+    def test_forward_backward_bitwise(self, dtype, layout, shape, bias):
+        kwargs = dict(bias=bias, seed=sum(shape))
+        _assert_same(
+            _linear_run(F.linear, shape, dtype, layout, **kwargs),
+            _linear_run(reference_linear, shape, dtype, layout, **kwargs))
+
+    @pytest.mark.parametrize("bias", (True, False))
+    @pytest.mark.parametrize("x_grad,params_grad", [(False, True),
+                                                    (True, False),
+                                                    (False, False)])
+    def test_partial_requires_grad(self, bias, x_grad, params_grad):
+        kwargs = dict(bias=bias, x_grad=x_grad, params_grad=params_grad,
+                      seed=3)
+        for shape in _LINEAR_SHAPES:
+            got = _linear_run(F.linear, shape, np.float32, "c", **kwargs)
+            _assert_same(got, _linear_run(
+                reference_linear, shape, np.float32, "c", **kwargs))
+            assert (got.get("x") is not None) == x_grad
+
+    @pytest.mark.parametrize("bias", (True, False))
+    def test_under_no_grad(self, bias):
+        for shape in _LINEAR_SHAPES:
+            with no_grad():
+                got = _linear_run(F.linear, shape, np.float32, "c",
+                                  bias=bias, seed=5)
+                expected = _linear_run(reference_linear, shape, np.float32,
+                                       "c", bias=bias, seed=5)
+            _assert_same(got, expected)
+            assert got.keys() == {"out"}
+
+    def test_one_autograd_node(self):
+        x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        weight = Tensor(np.ones((4, 3), np.float32), requires_grad=True)
+        bias = Tensor(np.zeros(4, np.float32), requires_grad=True)
+        assert F.linear(x, weight, bias)._parents == (x, weight, bias)
+        assert F.linear(x, weight)._parents == (x, weight)
+
+    def test_gemm_out_buffer_matches_eager(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((5, 7)).astype(np.float32)
+        weight = rng.standard_normal((3, 7)).astype(np.float32)
+        bias = rng.standard_normal(3).astype(np.float32)
+        eager = F.linear(Tensor(x), Tensor(weight), Tensor(bias)).data
+        buf = np.full((5, 3), np.nan, np.float32)
+        assert F.gemm_epilogue(x, weight.T, bias, out=buf) is buf
         assert _bits(buf) == _bits(eager)
 
 

@@ -140,11 +140,12 @@ class TestBackwardAttribution:
             assert stats["flops"] == 0 and stats["bytes"] == 0
 
     def test_one_backward_event_per_forward_for_single_node_layers(self):
-        # BatchNorm2d and Conv2d each build one autograd node per call.
+        # BatchNorm2d, Conv2d and Linear each build one autograd node
+        # per call.
         model = build_model("resnet20", num_classes=4, input_size=12,
                             width_multiplier=0.25)
         names = {name for name, module in model.named_modules()
-                 if isinstance(module, (BatchNorm2d, Conv2d))}
+                 if isinstance(module, (BatchNorm2d, Conv2d, Linear))}
         rec = obs.Recorder()
         with obs.use_recorder(rec), obs.ModuleProfiler():
             obs.label_modules(model)
@@ -152,8 +153,9 @@ class TestBackwardAttribution:
                 _, out = _forward(model)
                 out.sum().backward()
         ops = rec.aggregate()["ops"]
-        assert any(isinstance(module, BatchNorm2d)
-                   for _, module in model.named_modules())
+        for kind in (BatchNorm2d, Linear):
+            assert any(isinstance(module, kind)
+                       for _, module in model.named_modules())
         for name in names:
             assert ops[name]["forward"]["count"] == 2
             assert ops[name]["backward"]["count"] == 2, name
