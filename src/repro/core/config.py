@@ -85,7 +85,7 @@ class EvalOptions:
     mask_batch:
         Score a whole batch of candidate masks in one forward by
         folding the masks into the batch dimension (requires
-        ``graph``).
+        ``graph`` and ``workers=0``).
     workers:
         Number of pool worker processes scoring candidate masks in
         parallel (:class:`repro.runtime.pool.EvalPool`); 0 evaluates
@@ -115,6 +115,9 @@ class EvalOptions:
             raise ValueError("mask_batch eval requires graph eval")
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 means serial)")
+        if self.mask_batch and self.workers:
+            # Pool workers score candidates one mask at a time.
+            raise ValueError("mask_batch eval requires workers=0")
         if self.task_seconds is not None and self.task_seconds <= 0:
             raise ValueError("task_seconds must be positive (or None)")
         if self.task_retries < 0:

@@ -17,7 +17,7 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor, _unbroadcast, as_tensor
+from .tensor import Tensor, _unbroadcast, as_tensor, is_grad_enabled
 
 __all__ = [
     "im2col", "col2im", "gemm_epilogue", "conv2d", "conv2d_depthwise",
@@ -272,14 +272,15 @@ def _pool_slices(x: np.ndarray, kernel: int, stride: int,
 
     View ``i * kernel + j`` holds element ``(i, j)`` of every window, so
     the list runs over window offsets in row-major order.  Padding is
-    filled with ``-inf`` so padded positions never win a window.
+    filled with ``-inf`` so padded positions never win a window; the
+    padded copy keeps ``x``'s axis order.
     """
     n, c, h, w = x.shape
     oh = _out_size(h, kernel, stride, padding)
     ow = _out_size(w, kernel, stride, padding)
     if padding:
-        padded = np.full((n, c, h + 2 * padding, w + 2 * padding), -np.inf,
-                         dtype=x.dtype)
+        padded = np.full_like(x, -np.inf,
+                              shape=(n, c, h + 2 * padding, w + 2 * padding))
         padded[:, :, padding:padding + h, padding:padding + w] = x
         x = padded
     return [x[:, :, i:i + stride * (oh - 1) + 1:stride,
@@ -288,20 +289,55 @@ def _pool_slices(x: np.ndarray, kernel: int, stride: int,
 
 
 def max_pool2d_kernel(x: np.ndarray, kernel: int, stride: int, padding: int,
-                      out: np.ndarray | None = None) -> np.ndarray:
+                      out: np.ndarray | None = None, *,
+                      return_offsets: bool = False):
     """Max-pooled array: an elementwise max over the window offsets.
 
     Shared by :func:`max_pool2d` and the graph executor's maxpool node
     (which passes an arena ``out`` buffer), so both produce the same
-    bits.
+    bits.  The max runs in ``x``'s axis order (channels-last on conv
+    outputs) and is copied once into ``out``, C-contiguous when not
+    given; ``np.maximum`` keeps its second operand on a ``±0`` tie, so
+    the offset order fixes the bits.  ``return_offsets`` adds each
+    window's first-max offset (``argmax``'s tie rule) in C order, with
+    ``kernel**2`` where no element equals the max (NaN windows).
     """
     slices = _pool_slices(x, kernel, stride, padding)
+    # The fold's first step, copy then max, in one call (kernel 1: s0).
+    best = np.maximum(slices[0], slices[min(1, kernel - 1)],
+                      out=np.empty_like(x, shape=slices[0].shape))
+    for view in slices[2:]:
+        np.maximum(best, view, out=best)
     if out is None:
-        out = np.empty(slices[0].shape, dtype=x.dtype)
-    np.copyto(out, slices[0])
+        out = np.ascontiguousarray(best)
+    else:
+        np.copyto(out, best)
+    if not return_offsets:
+        return out
+    # The offset counts the leading elements unequal to the maximum.
+    run = np.not_equal(slices[0], best)
+    miss = np.empty_like(run)
+    offsets = run.astype(np.min_scalar_type(kernel ** 2))
     for view in slices[1:]:
-        np.maximum(out, view, out=out)
-    return out
+        np.not_equal(view, best, out=miss)
+        np.logical_and(run, miss, out=run)
+        np.add(offsets, run, out=offsets)
+    return out, np.ravel(offsets)
+
+
+@functools.lru_cache(maxsize=32)
+def _pool_targets(strides: tuple[int, ...], kernel: int, stride: int,
+                  n: int, c: int, oh: int, ow: int):
+    """Flat indices of each window's offset-0 element (windows in C order)
+    and the step to each offset, in an array of element ``strides``."""
+    sn, sc, sh, sw = strides
+    windows = np.indices((n, c, oh, ow)).reshape(4, -1)
+    origins = np.dot((sn, sc, stride * sh, stride * sw), windows)
+    # Offset ``kernel**2`` (NaN windows) steps nowhere.
+    steps = np.append(np.add.outer(np.arange(kernel) * sh,
+                                   np.arange(kernel) * sw), 0)
+    origins.flags.writeable = steps.flags.writeable = False
+    return origins, steps
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None,
@@ -312,34 +348,36 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None,
     window (the convention of every deep-learning framework); with
     ``padding < kernel`` each window overlaps the image, so the output
     stays finite.  Backward sends each window's gradient to its first
-    maximum in row-major order (``argmax``'s tie rule).
+    maximum in row-major order (``argmax``'s tie rule), recorded by the
+    forward; windows whose maximum is NaN send none.
     """
     stride = stride or kernel
     x = as_tensor(x)
-    out = max_pool2d_kernel(x.data, kernel, stride, padding)
+    if not (x.requires_grad and is_grad_enabled()):
+        return Tensor(max_pool2d_kernel(x.data, kernel, stride, padding))
+    out, offsets = max_pool2d_kernel(x.data, kernel, stride, padding,
+                                     return_offsets=True)
 
     def backward(g: np.ndarray) -> None:
-        # hits[k]: windows whose first maximum sits at offset k.
-        unclaimed = np.ones(out.shape, dtype=bool)
-        hits = []
-        for view in _pool_slices(x.data, kernel, stride, padding):
-            hit = view == out
-            hit &= unclaimed
-            unclaimed ^= hit
-            hits.append(hit)
         n, c, h, w = x.shape
         if padding:
             dx = np.zeros((n, c, h + 2 * padding, w + 2 * padding),
                           dtype=x.dtype)
         else:
             dx = np.zeros_like(x.data)
-        # Last offset first: an input shared by overlapping windows then
-        # sums their gradients in window order.  Adding +0 where a window
-        # missed changes no bit: ``dx`` starts at +0 and a sum is -0 only
-        # when both terms are.
-        views = _pool_slices(dx, kernel, stride, 0)
-        for view, hit in zip(reversed(views), reversed(hits)):
-            view += np.where(hit, g, 0)
+        origins, steps = _pool_targets(
+            tuple(s // dx.itemsize for s in dx.strides), kernel, stride,
+            *out.shape)
+        targets = origins + steps.take(offsets)
+        values = np.ravel(g) + 0        # dx starts at +0; +0 + -0 is +0
+        values[offsets == kernel * kernel] = 0     # NaN windows: none
+        flat = np.ravel(dx, order="K")  # a view: dx is contiguous
+        if stride >= kernel:            # no two windows share an input
+            flat[targets] = values
+        else:
+            # Windows in C order reach each input in decreasing offset
+            # order, the order its gradients have always been summed in.
+            np.add.at(flat, targets, values)
         if padding:
             dx = dx[:, :, padding:padding + h, padding:padding + w]
         x._accumulate(dx)

@@ -580,7 +580,8 @@ class GraphExecutor:
         "flatten": _run_flatten, "add": _run_add, "cat": _run_cat,
     }
 
-    _PROFILED = {"conv": "Conv2d", "linear": "Linear", "bn": "BatchNorm2d"}
+    _PROFILED = {"conv": "Conv2d", "linear": "Linear", "bn": "BatchNorm2d",
+                 "maxpool": "MaxPool2d"}
 
     # -- execution engine ----------------------------------------------------
     def _execute(self, nodes: list[_Node], template: dict[int, int],

@@ -1,7 +1,7 @@
 """Op/module-level profiler for the ``repro.nn`` substrate.
 
-:class:`ModuleProfiler` hooks the three compute-layer classes
-(``Conv2d``, ``Linear``, ``BatchNorm2d``) at the *class* level: every
+:class:`ModuleProfiler` hooks the compute-layer classes (``Conv2d``,
+``Linear``, ``BatchNorm2d``, ``MaxPool2d``) at the *class* level: every
 forward of every instance — including layers rebuilt by pruning surgery
 mid-run — is timed and reported to the process-wide recorder as an
 ``op`` event (:meth:`repro.obs.recorder.Recorder.op`), together with
@@ -101,7 +101,8 @@ def record_graph_op(module, kind: str, in_shape, out_shape,
 
 
 class ModuleProfiler:
-    """Times forward/backward of every Conv2d/Linear/BatchNorm2d call.
+    """Times forward/backward of every ``Conv2d``, ``Linear``,
+    ``BatchNorm2d`` and ``MaxPool2d`` call.
 
     ``install()`` swaps the classes' ``forward`` for a timing wrapper
     (restored by ``uninstall()``; also usable as a context manager).
@@ -112,9 +113,10 @@ class ModuleProfiler:
     Per event: ``phase="forward"`` carries ``dur`` plus ``flops`` (MACs,
     the same per-image accounting as ``repro.pruning.stats`` scaled by
     the batch) and ``bytes`` (input + output activations + parameters at
-    FP32, the ``repro.gpusim`` roofline convention).  ``phase=
-    "backward"`` events carry ``dur`` only, one per autograd closure the
-    module's forward created: ``Conv2d``, ``Linear`` and ``BatchNorm2d``
+    FP32, the ``repro.gpusim`` roofline convention; ``MaxPool2d`` has
+    no parameters and counts 0 FLOPs).  ``phase="backward"`` events
+    carry ``dur`` only, one per autograd closure the module's forward
+    created: ``Conv2d``, ``Linear``, ``BatchNorm2d`` and ``MaxPool2d``
     each build one node, so one backward event per forward.
     """
 
@@ -177,9 +179,9 @@ class ModuleProfiler:
         if _ACTIVE is not None:
             raise RuntimeError("a ModuleProfiler is already installed")
         from ..gpusim.latency import layer_bytes
-        from ..nn.modules import BatchNorm2d, Conv2d, Linear
+        from ..nn.modules import BatchNorm2d, Conv2d, Linear, MaxPool2d
         from ..pruning.stats import layer_cost
-        self.kinds = (Conv2d, Linear, BatchNorm2d)
+        self.kinds = (Conv2d, Linear, BatchNorm2d, MaxPool2d)
         self._layer_cost = layer_cost
         self._layer_bytes = layer_bytes
         _NAMES.clear()

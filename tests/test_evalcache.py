@@ -15,6 +15,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from repro.core import (EvalCache, EvalOptions, HeadStartConfig,
                         HeadStartNetwork, mask_key)
@@ -152,16 +153,23 @@ class TestCachedRunBitForBit:
     def test_resume_digest_ignores_perf_knobs(self, tiny_task, trained_lenet):
         plain = _pruner(tiny_task, trained_lenet,
                         eval=EvalOptions(cache=False))
-        tuned = _pruner(tiny_task, trained_lenet,
-                        eval=EvalOptions(cache=True, cache_size=7,
-                                         graph=True, fused=True,
-                                         mask_batch=True, workers=2))
-        assert config_digest(plain.fingerprint()) \
-            == config_digest(tuned.fingerprint())
+        for options in (EvalOptions(cache=True, cache_size=7, graph=True,
+                                    fused=True, mask_batch=True),
+                        EvalOptions(graph=True, workers=2)):
+            tuned = _pruner(tiny_task, trained_lenet, eval=options)
+            assert config_digest(plain.fingerprint()) \
+                == config_digest(tuned.fingerprint())
         # ... while semantic fields still change it.
         other = _pruner(tiny_task, trained_lenet, seed=6)
         assert config_digest(plain.fingerprint()) \
             != config_digest(other.fingerprint())
+
+    def test_mask_batch_with_workers_is_rejected(self):
+        # The agent builds its folded batch scorer only without a pool, so
+        # this combination used to validate and then drop mask batching.
+        with pytest.raises(ValueError, match="mask_batch"):
+            EvalOptions(graph=True, mask_batch=True, workers=2)
+        assert EvalOptions(graph=True, mask_batch=True, workers=0).mask_batch
 
     def test_resume_digest_matches_existing_journals(self, tiny_task,
                                                      trained_lenet):

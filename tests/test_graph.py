@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cli import _eval_options, build_parser
+from repro.cli import _eval_options, build_parser, main
 from repro.core import EvalOptions, HeadStartConfig, LayerAgent
 from repro.core.policy import HeadStartNetwork
 from repro.models import available_models, build_model
@@ -306,9 +306,16 @@ class TestCliEvalFlags:
 
     def test_eval_mode_graph_with_perf_knobs(self):
         options = self._parse(["--eval-mode", "graph", "--eval-fused",
-                               "--eval-mask-batch", "--eval-workers", "2"])
+                               "--eval-mask-batch"])
         assert options.graph and options.fused and options.mask_batch
-        assert options.workers == 2
+        assert self._parse(["--eval-mode", "graph",
+                            "--eval-workers", "2"]).workers == 2
+
+    def test_mask_batch_with_workers_exits_two(self, capsys):
+        code = main(["prune", "--model", "lenet", "--eval-mode", "graph",
+                     "--eval-mask-batch", "--eval-workers", "2"])
+        assert code == 2
+        assert "mask_batch" in capsys.readouterr().err
 
     def test_defaults_are_cached_dense(self):
         assert self._parse([]) == EvalOptions()

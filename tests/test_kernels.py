@@ -2,17 +2,22 @@
 
 ``functional.im2col`` (one ``np.take`` through a cached gather index)
 and ``functional.max_pool2d`` (an elementwise max over the window
-offsets) replaced ``sliding_window_view`` bodies; ``col2im`` (channels-
-last accumulation), the one-pass maxpool backward and the single-node
-``batch_norm2d`` and ``linear`` replaced a transposed-view fold, a
-``where=`` masked scatter and chains of ``Tensor`` primitives.  The old
-bodies live on here as references only: patches, gradients, outputs
-and running statistics must match them bit-for-bit, strides included —
-on the channels-last,
-non-contiguous activations conv layers produce too — the pooled values
-must equal ``windows.max``, and the pooling gradient must equal the old
-``argmax`` / ``np.add.at`` scatter, including ties and signed zeros.
-Golden digests of short training runs pin the whole chain.
+offsets, run in the input's memory order) replaced
+``sliding_window_view`` bodies; ``col2im`` (channels-last
+accumulation), the maxpool backward (one scatter through the first-max
+offsets the forward records) and the single-node ``batch_norm2d`` and
+``linear`` replaced a transposed-view fold, compare-and-claim passes
+with a ``where=`` masked scatter, and chains of ``Tensor`` primitives.
+The old bodies live on here as references only: patches, gradients,
+outputs and running statistics must match them bit-for-bit, strides
+included — on the channels-last, non-contiguous activations conv
+layers produce too.  The pooled values must equal ``windows.max`` and
+their bits the old ``np.maximum`` fold (which fixes the sign of a
+``±0`` tie); the pooling gradient must equal the old ``argmax`` /
+``np.add.at`` scatter, including ties and signed zeros, and a window
+whose maximum is NaN sends no gradient.  A hypothesis test draws the
+geometry (kernel 1–5), dtype and layout.  Golden digests of short
+training runs pin the whole chain.
 """
 
 from __future__ import annotations
@@ -51,6 +56,27 @@ def reference_windows(x, kernel, stride, padding):
     windows = sliding_window_view(x, (kernel, kernel),
                                   axis=(2, 3))[:, :, ::stride, ::stride]
     return windows.reshape(*windows.shape[:4], kernel * kernel)
+
+
+def reference_pool_max(x, kernel, stride, padding):
+    """The old kernel: ``np.maximum`` folded over the offsets in order.
+
+    ``windows.max`` equals it in value, but a reduction may order its
+    comparisons differently, and ``np.maximum`` keeps its second operand
+    on a ``±0`` tie, so only this fold pins the sign of a zero maximum.
+    """
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding),
+                       (padding, padding)), constant_values=-np.inf)
+    oh = (x.shape[2] - kernel) // stride + 1
+    ow = (x.shape[3] - kernel) // stride + 1
+    views = [x[:, :, i:i + stride * (oh - 1) + 1:stride,
+               j:j + stride * (ow - 1) + 1:stride]
+             for i in range(kernel) for j in range(kernel)]
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(out, view, out=out)
+    return out
 
 
 def reference_pool_grad(x, g, kernel, stride, padding):
@@ -241,6 +267,78 @@ def _layout(a, layout):
 
 _DTYPES = (np.float32, np.float64)
 _LAYOUTS = ("nchw", "channels_last")
+
+
+@st.composite
+def pool_cases(draw):
+    kernel = draw(st.integers(1, 5))
+    stride = draw(st.integers(1, kernel + 1))
+    padding = draw(st.integers(0, kernel - 1))
+    h = draw(st.integers(max(1, kernel - 2 * padding), 9))
+    w = draw(st.integers(max(1, kernel - 2 * padding), 9))
+    n, c = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    dtype = draw(st.sampled_from(_DTYPES))
+    layout = draw(st.sampled_from(("nchw", "channels_last", "sliced")))
+    # Mostly ties among signed zeros, some -inf (whole -inf windows) and
+    # NaN, or plain normals.
+    p = draw(st.sampled_from(((.05, .3, .3, .1, .2, .05),
+                              (.02, .1, .1, .1, .6, .08),
+                              (0, 0, 0, 0, 0, 1))))
+    seed = draw(st.integers(0, 2 ** 16))
+    return kernel, stride, padding, (n, c, h, w), dtype, layout, p, seed
+
+
+def _pool_input(shape, dtype, layout, p, seed):
+    rng = np.random.default_rng(seed)
+    n, c, h, w = shape
+    normals = rng.standard_normal((n, c + 1, h + 1, 2 * w))
+    values = np.array([np.nan, -0.0, 0.0, 1.0, -np.inf, 0.0])
+    pick = rng.choice(len(values), size=normals.shape, p=p)
+    full = np.where(pick == 5, normals, values[pick]).astype(dtype)
+    if layout == "sliced":
+        return full[:, 1:, 1:, ::2]
+    return _layout(full[:, :c, :h, :w], layout)
+
+
+class TestMaxPoolProperties:
+    """Random geometry, dtype and layout against the reference forms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool_cases())
+    def test_matches_references_bitwise(self, case):
+        kernel, stride, padding, shape, dtype, layout, p, seed = case
+        x = _pool_input(shape, dtype, layout, p, seed)
+        xt = Tensor(x, requires_grad=True)
+        out = F.max_pool2d(xt, kernel, stride, padding)
+        assert out.dtype == dtype and out.data.flags.c_contiguous
+        assert _bits(out.data) == _bits(reference_pool_max(x, kernel, stride,
+                                                           padding))
+        windows = reference_windows(x, kernel, stride, padding)
+        assert np.array_equal(out.data, windows.max(axis=-1), equal_nan=True)
+        buf = np.full(out.shape, 7, dtype=dtype)
+        F.max_pool2d_kernel(x, kernel, stride, padding, out=buf)
+        assert _bits(buf) == _bits(out.data)
+
+        rng = np.random.default_rng(seed + 1)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        g.reshape(-1)[::3] = -0.0
+        nan_windows = np.isnan(out.data)
+        out.backward(g)
+        # ``argmax`` sends a NaN window's gradient to its first NaN; the
+        # pool sends none, so the reference sees zeros there.
+        expected = reference_pool_grad(x, np.where(nan_windows, 0, g),
+                                       kernel, stride, padding)
+        assert xt.grad.dtype == dtype
+        assert _bits(xt.grad) == _bits(expected)
+        # The gradient buffer is C-contiguous when padded, x's order else.
+        strides = (np.zeros(x.shape, dtype) if padding
+                   else np.zeros_like(x)).strides
+        assert xt.grad.strides == strides
+
+        xt = Tensor(x, requires_grad=True)
+        F.max_pool2d(xt, kernel, stride, padding).backward(
+            np.where(nan_windows, g, 0).astype(dtype))
+        assert _bits(xt.grad) == _bits(np.zeros_like(xt.grad))
 
 
 class TestCol2Im:

@@ -7,7 +7,8 @@ import pytest
 
 from repro import obs
 from repro.models import build_model
-from repro.nn.modules import BatchNorm2d, Conv2d, Linear
+from repro.nn import compile as compile_graph
+from repro.nn.modules import BatchNorm2d, Conv2d, Linear, MaxPool2d
 from repro.nn.tensor import Tensor, creator_closures
 from repro.pruning import profile_model
 
@@ -21,7 +22,7 @@ def _forward(model, batch: int = 2, channels: int = 3, size: int = 12):
 
 class TestDisabledPath:
     def test_layer_classes_are_unpatched_by_default(self):
-        for cls in (Conv2d, Linear, BatchNorm2d):
+        for cls in (Conv2d, Linear, BatchNorm2d, MaxPool2d):
             assert not hasattr(cls.forward, "_repro_profiler")
         assert not obs.profiler_active()
 
@@ -60,7 +61,7 @@ class TestDisabledPath:
 class TestInstallLifecycle:
     def test_install_patches_and_uninstall_restores(self):
         originals = {cls: cls.forward
-                     for cls in (Conv2d, Linear, BatchNorm2d)}
+                     for cls in (Conv2d, Linear, BatchNorm2d, MaxPool2d)}
         with obs.ModuleProfiler():
             assert obs.profiler_active()
             for cls in originals:
@@ -170,6 +171,49 @@ class TestBackwardAttribution:
         assert all("backward" not in phases or
                    phases["backward"]["count"] == 0
                    for phases in ops.values())
+
+
+class TestMaxPoolAttribution:
+    """Maxpool is profiled like the compute layers, eager and graph alike."""
+
+    def test_eager_forward_bytes_and_one_backward_per_forward(self):
+        from repro.gpusim.latency import layer_bytes
+
+        model = build_model("lenet", num_classes=4, input_size=12)
+        rec = obs.Recorder()
+        with obs.use_recorder(rec), obs.ModuleProfiler():
+            obs.label_modules(model)
+            x, out = _forward(model, batch=3)
+            out.sum().backward()
+        ops = rec.aggregate()["ops"]
+        assert ops["pool"]["forward"]["kind"] == "MaxPool2d"
+        # LeNet calls its one pool module twice per forward.
+        assert ops["pool"]["forward"]["count"] == 2
+        assert ops["pool"]["backward"]["count"] == 2
+        assert ops["pool"]["forward"]["flops"] == 0
+        c1, c2 = model.conv1.out_channels, model.conv2.out_channels
+        expected = layer_bytes((3, c1, 12, 12), (3, c1, 6, 6), 0, 3) \
+            + layer_bytes((3, c2, 6, 6), (3, c2, 3, 3), 0, 3)
+        assert ops["pool"]["forward"]["bytes"] == expected
+
+    def test_graph_executor_attributes_maxpool_like_eager(self):
+        model = build_model("lenet", num_classes=4, input_size=12)
+        x = np.random.default_rng(0).normal(size=(2, 3, 12, 12)) \
+            .astype(np.float32)
+        executor = compile_graph(model, x, fuse=False)
+        eager, graph = obs.Recorder(), obs.Recorder()
+        with obs.ModuleProfiler():
+            obs.label_modules(model)
+            with obs.use_recorder(eager):
+                model(Tensor(x))
+            with obs.use_recorder(graph):
+                executor.run(x)
+        eager_ops, graph_ops = (rec.aggregate()["ops"]
+                                for rec in (eager, graph))
+        assert graph_ops["pool"]["forward"]["kind"] == "MaxPool2d"
+        for key in ("count", "flops", "bytes"):
+            assert graph_ops["pool"]["forward"][key] \
+                == eager_ops["pool"]["forward"][key]
 
 
 class TestNaming:
